@@ -34,14 +34,23 @@ def comp_cumsum(terms, axis: int = -1) -> np.ndarray:
             out[k] = s + c
         return out
 
+    # Step k gathers column k into a contiguous buffer and runs the scalar
+    # branch's operations as preallocated ufuncs, so no full-size
+    # temporaries are made.
     arr = np.moveaxis(arr, axis, -1)
-    s = np.zeros(arr.shape[:-1])
-    c = np.zeros(arr.shape[:-1])
     out = np.empty_like(arr)
+    s, c, t, x, d, e = (np.zeros(arr.shape[:-1]) for _ in range(6))
+    s_big = np.empty(arr.shape[:-1], dtype=bool)
     for k in range(arr.shape[-1]):
-        x = arr[..., k]
-        t = s + x
-        c = c + np.where(np.abs(s) >= np.abs(x), (s - t) + x, (x - t) + s)
-        s = t
-        out[..., k] = s + c
+        np.copyto(x, arr[..., k])
+        np.add(s, x, out=t)
+        np.greater_equal(np.abs(s, out=d), np.abs(x, out=e), out=s_big)
+        np.subtract(s, t, out=d)
+        d += x  # (s - t) + x
+        np.subtract(x, t, out=e)
+        e += s  # (x - t) + s
+        np.copyto(e, d, where=s_big)
+        c += e
+        s, t = t, s
+        np.add(s, c, out=out[..., k])
     return np.moveaxis(out, -1, axis)

@@ -287,7 +287,7 @@ def main(argv=None) -> int:
 
     try:
         return run(args.command, cfg, args.out)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,7 +4,10 @@ equal-rate-of-return (martingale) test, and hedging-error convergence.
 Paths are independent work units indexed by path number; every statistic
 is reduced in path-index order with deterministic numpy kernels, so a
 given ExperimentConfig always reproduces the same result rows bit for bit
-no matter how the work is scheduled.
+no matter how the work is scheduled. All paths of a study are simulated
+in one batched pass (paths.gbm_batch), which reproduces the per-path
+default_rng([seed, i]) streams, and so the single-path API's stock values,
+bit for bit.
 
 Internally the per-path ledger recurrences are vectorized across the path
 axis (loops run over time steps only); the batch kernels execute the same
@@ -22,7 +25,11 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .accum import comp_cumsum
-from .paths import GbmParams, TimeGrid, generate_brownian, gbm_path, refine, uniform_grid
+from .paths import GbmParams, TimeGrid, gbm_batch, uniform_grid
+
+# The single-path builders stay importable from this module: the traced
+# benchmark run (perfbench/tracing.py) wraps them here by name.
+from .paths import gbm_path, generate_brownian, refine  # noqa: F401
 from .strategies import EuropeanCall, bs_delta, bs_price
 
 DEFAULT_TOLERANCES: Mapping[str, float] = {
@@ -60,6 +67,8 @@ class ExperimentConfig:
             raise ValueError("base_steps must be >= 1")
         if int(self.n_paths) < 1:
             raise ValueError("n_paths must be >= 1")
+        if int(self.seed) < 0:
+            raise ValueError("seed must be >= 0")
         factors = tuple(int(f) for f in self.refinement_factors)
         if not factors or any(f < 1 for f in factors):
             raise ValueError("refinement factors must be >= 1")
@@ -136,15 +145,7 @@ def _batch_market(
     so all levels of a refinement study share Brownian motion with the base
     resolution at the shared instants.
     """
-    rows = []
-    grid = base_grid
-    for i in range(int(n_paths)):
-        w = generate_brownian(base_grid, seed, i)
-        if int(factor) > 1:
-            grid, w = refine(base_grid, w, int(factor))
-        mp = gbm_path(params, w, measure)
-        rows.append(mp.stock)
-    stock = np.vstack(rows)
+    grid, stock = gbm_batch(params, base_grid, factor, n_paths, seed, measure)
     bond = np.exp(params.r * grid.times)
     return BatchMarket(grid.times, stock, bond, params.r, params.sigma)
 
@@ -296,6 +297,8 @@ def martingale_test(cfg: ExperimentConfig, strategies: list[StrategySpec]) -> Ex
     """
     if not strategies:
         raise ValueError("martingale test needs at least one strategy")
+    if cfg.n_paths < 2:
+        raise ValueError("martingale test needs n_paths >= 2 for a standard error")
     mult = cfg.tolerances["stderr_mult"]
     atol = cfg.tolerances["value_atol"]
     grid = uniform_grid(cfg.horizon, cfg.base_steps)
@@ -309,7 +312,7 @@ def martingale_test(cfg: ExperimentConfig, strategies: list[StrategySpec]) -> Ex
         y0 = float(a2[0, 0] * mkt.stock[0, 0] + b2[0, 0] * mkt.bond[0])
         discounted = (a2[:, -1] * mkt.stock[:, -1] + b2[:, -1] * mkt.bond[-1]) / mkt.bond[-1]
         estimate = float(np.mean(discounted))
-        stderr = float(np.std(discounted, ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
+        stderr = float(np.std(discounted, ddof=1) / math.sqrt(n_paths))
         inside = abs(estimate - y0) <= mult * stderr + atol
         if spec.control:
             status = "fail" if inside else "expected-fail"

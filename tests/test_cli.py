@@ -147,3 +147,29 @@ def test_repeated_runs_are_byte_identical(tmp_path):
     run("verify", cfg, tmp_path / "b")
     for name in ("defect_refinement.csv", "manifest.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["martingale", "--seed", "-1"], ""),
+        (["hedge"], "refinement_factors = 1,2\n"),
+        (["martingale"], "sigma = 40\n"),
+    ],
+    ids=["negative-seed", "hedge-two-levels", "stock-underflow"],
+)
+def test_main_domain_errors_exit_two_without_traceback(tmp_path, capsys, argv, config):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(config + "n_paths = 8\nbase_steps = 4\n")
+    status = main([*argv, "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert status == 2
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1 and "error:" in err
+
+
+def test_main_martingale_single_path_is_usage_error(tmp_path, capsys):
+    status = main(["martingale", "--paths", "1", "--out", str(tmp_path / "out")])
+    assert status == 2
+    assert "n_paths >= 2" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "martingale.csv").exists()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -123,6 +124,18 @@ def test_defect_refinement_study_sigma_zero_is_degenerate_pass():
 def test_martingale_test_requires_strategies():
     with pytest.raises(ValueError):
         martingale_test(small_cfg(), [])
+
+
+def test_config_rejects_negative_seed():
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        small_cfg(seed=-1)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        dataclasses.replace(small_cfg(), seed=-1)
+
+
+def test_martingale_test_requires_two_paths():
+    with pytest.raises(ValueError, match="n_paths >= 2"):
+        martingale_test(small_cfg(n_paths=1), [buy_and_hold_spec(1.0, 0.0)])
 
 
 def test_martingale_buy_and_hold_tracks_lognormal_mean():

@@ -7,6 +7,7 @@ from hedgelab.paths import (
     BrownianPath,
     GbmParams,
     TimeGrid,
+    gbm_batch,
     generate_brownian,
     gbm_path,
     refine,
@@ -184,3 +185,31 @@ def test_values_are_immutable(market):
         market.stock[0] = 1.0
     with pytest.raises(ValueError):
         market.grid.times[0] = 1.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**32 + 5, 2**70 + 3])
+def test_gbm_batch_is_bitwise_the_per_path_reference(seed):
+    # seeds above 2**32 take several SeedSequence entropy words; with the
+    # bridge salt, 2**70 + 3 overflows the 4-word pool
+    params = GbmParams(100.0, 0.07, 0.3, 0.03)
+    for factor in (1, 2, 3, 16):
+        for measure in ("physical", "risk_neutral"):
+            for steps, n_paths in ((7, 5), (4, 1)):
+                grid = uniform_grid(1.0, steps)
+                fine_grid, stock = gbm_batch(params, grid, factor, n_paths, seed, measure)
+                assert stock.shape == (n_paths, fine_grid.n_points)
+                for i in range(n_paths):
+                    ref_grid, w = grid, generate_brownian(grid, seed, i)
+                    if factor > 1:
+                        ref_grid, w = refine(grid, w, factor)
+                    assert np.array_equal(gbm_path(params, w, measure).stock, stock[i])
+                assert np.array_equal(fine_grid.times, ref_grid.times)
+
+
+def test_gbm_batch_underflow_is_rejected_like_market_path():
+    params = GbmParams(100.0, 0.05, 40.0, 0.05)
+    grid = uniform_grid(1.0, 8)
+    with pytest.raises(ValueError, match="stock values must be positive and finite"):
+        gbm_path(params, generate_brownian(grid, 0), "physical")
+    with pytest.raises(ValueError, match="stock values must be positive and finite"):
+        gbm_batch(params, grid, 1, 4, 0, "physical")
