@@ -112,26 +112,36 @@ def bs_delta(s, strike: float, vol: float, rate: float, tau):
 
     Degenerate limits resolve by sign: when vol * sqrt(tau) = 0 the delta
     is the indicator of s > strike * exp(-rate * tau). Exactly on that kink
-    (e.g. tau = 0 and s = strike) the delta is undefined and a ValueError
-    is raised.
+    with vol = 0 and tau > 0 (a sigma = 0 market started on the discounted
+    strike) the delta is 1/2: on the kink d1 = vol * sqrt(tau) / 2, so
+    Phi(d1) -> 1/2 as vol -> 0. At expiry (tau = 0) on the strike the
+    option has expired on its payoff kink, the delta is undefined, and a
+    ValueError is raised.
     """
     s_arr = np.asarray(s, dtype=float)
     tau_arr = np.asarray(tau, dtype=float)
-    if np.any(s_arr <= 0.0):
+    if not np.all(s_arr > 0.0):
         raise ValueError("spot must be > 0")
     if not strike > 0.0:
         raise ValueError("strike must be > 0")
     if vol < 0.0:
         raise ValueError("vol must be >= 0")
-    if np.any(tau_arr < 0.0):
+    if not np.all(tau_arr >= 0.0):
         raise ValueError("tau must be >= 0")
+    if not math.isfinite(rate):
+        raise ValueError("rate must be finite")
+    srt = vol * np.sqrt(tau_arr)
     with np.errstate(divide="ignore", invalid="ignore"):
-        d1 = (np.log(s_arr / strike) + (rate + 0.5 * vol * vol) * tau_arr) / (
-            vol * np.sqrt(tau_arr)
-        )
-    # 0/0 happens only on the kink where the delta has no one-sided limit.
-    if np.any(np.isnan(d1)):
-        raise ValueError("delta undefined at the payoff kink (vol*sqrt(tau)=0 and s on the strike)")
+        d1 = (np.log(s_arr / strike) + (rate + 0.5 * vol * vol) * tau_arr) / srt
+    # d1 is 0/0 on the kink, where srt = 0; inf/inf (infinite vol or tau)
+    # is no kink.
+    kink = np.isnan(d1)
+    if np.any(kink):
+        if np.any(kink & (srt != 0.0)):
+            raise ValueError("delta undefined for infinite vol or tau")
+        if np.any(kink & (tau_arr == 0.0)):
+            raise ValueError("delta undefined at expiry on the strike (tau = 0 and s = strike)")
+        d1 = np.where(kink, 0.0, d1)  # the vol -> 0 limit of d1 = srt / 2
     out = ndtr(d1)
     return float(out) if np.ndim(s) == 0 and np.ndim(tau) == 0 else out
 

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from hedgelab import accum
 from hedgelab.accum import comp_cumsum
 
 
@@ -52,3 +55,98 @@ def test_compensation_recovers_cancelled_terms():
     got = comp_cumsum(terms, axis=-1)
     assert np.array_equal(got[:, -1], np.full(3, 2 * 1e-8))
     assert np.cumsum(terms, axis=-1)[0, -1] != 2 * 1e-8  # naive summation drifts
+
+
+def neumaier_loop(terms):
+    """Reference: Neumaier's scalar loop, one Python step per element."""
+    arr = np.asarray(terms, dtype=float)
+    out = np.empty_like(arr)
+    s = 0.0
+    c = 0.0
+    for k, x in enumerate(arr.tolist()):
+        t = s + x
+        if abs(s) >= abs(x):
+            c += (s - t) + x
+        else:
+            c += (x - t) + s
+        s = t
+        out[k] = s + c
+    return out
+
+
+def assert_same_bits(got, want):
+    """Bitwise equality: unlike np.array_equal, tells -0.0 from 0.0 and matches nan."""
+    assert got.shape == want.shape
+    assert np.array_equal(
+        np.ascontiguousarray(got).view(np.int64), np.ascontiguousarray(want).view(np.int64)
+    )
+
+
+@pytest.mark.parametrize("length", [0, 1, 2, 1024, accum.BLOCK_ELEMENTS + 1000])
+def test_matches_scalar_loop_bitwise(length):
+    terms = mixed_terms(length, seed=length)
+    assert_same_bits(comp_cumsum(terms), neumaier_loop(terms))
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        [-0.0, -0.0, 1.0, -1.0, -0.0],
+        [-0.0],
+        [1e308, 1e308, -1e308, 5.0],
+        [np.inf, 1.0, -np.inf, 2.0],
+        [np.nan, 1.0, 2.0],
+        [5e-324, -5e-324, 1e-310, 2.5e-308, -1e-320],
+    ],
+    ids=["signed-zeros", "minus-zero", "overflow", "infinities", "nan", "subnormals"],
+)
+def test_matches_scalar_loop_on_special_values(terms):
+    assert_same_bits(comp_cumsum(terms), neumaier_loop(terms))
+    rows = np.array([terms, terms[::-1]])
+    want = np.stack([neumaier_loop(terms), neumaier_loop(terms[::-1])])
+    assert_same_bits(comp_cumsum(rows, axis=-1), want)
+
+
+@pytest.mark.parametrize("axis", [0, 1, -1])
+def test_rows_spanning_several_blocks_match_scalar_loop(monkeypatch, axis):
+    # Tiny blocks split the 407, 111 or 33 rows into 1 to 17 rows a block,
+    # with a partial last block on every axis at 64 elements a block.
+    terms = mixed_terms((37, 11, 3), seed=3)
+    want = np.apply_along_axis(neumaier_loop, axis, terms)
+    for block in (8, 64):
+        monkeypatch.setattr(accum, "BLOCK_ELEMENTS", block)
+        assert_same_bits(comp_cumsum(terms, axis=axis), want)
+
+
+def test_non_finite_input_raises_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        comp_cumsum([1e308, 1e308, -1e308, 5.0])
+        comp_cumsum([np.inf, 1.0, -np.inf, np.nan])
+        comp_cumsum(np.array([[np.inf, -np.inf], [1e308, 1e308]]), axis=0)
+
+
+def test_accepts_any_array_like_and_leaves_it_untouched():
+    base = mixed_terms((6, 10), seed=4)
+    want = np.apply_along_axis(neumaier_loop, -1, base)
+    frozen = base.copy()
+    frozen.flags.writeable = False
+    inputs = {
+        "list": base.tolist(),
+        "fortran": np.asfortranarray(base),
+        "read-only": frozen,
+    }
+    for name, terms in inputs.items():
+        before = np.array(terms, copy=True)
+        got = comp_cumsum(terms, axis=-1)
+        assert got.dtype == np.float64 and got.flags.writeable, name
+        assert_same_bits(got, want)
+        assert_same_bits(np.asarray(terms), before)
+
+    strided = base[:, ::2]
+    assert_same_bits(comp_cumsum(strided), np.apply_along_axis(neumaier_loop, -1, strided))
+
+    ints = np.arange(-20, 20).reshape(4, 10)
+    got = comp_cumsum(ints)
+    assert got.dtype == np.float64 and got.flags.writeable
+    assert_same_bits(got, np.cumsum(ints, axis=-1).astype(float))

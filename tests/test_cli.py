@@ -1,4 +1,11 @@
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hedgelab.cli import RunManifest, config_to_text, main, parse_config, run
 from hedgelab.paths import GbmParams
@@ -173,3 +180,50 @@ def test_main_martingale_single_path_is_usage_error(tmp_path, capsys):
     assert status == 2
     assert "n_paths >= 2" in capsys.readouterr().err
     assert not (tmp_path / "out" / "martingale.csv").exists()
+
+
+KINK = "sigma = 0\nmu = 0\nr = 0\ns0 = 100\nstrike = 100\nn_paths = 8\nbase_steps = 4\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "hedge"])
+def test_main_sigma_zero_on_the_strike_exits_zero(tmp_path, capsys, command):
+    # The constant stock sits on the strike, where the delta is the vol -> 0
+    # limit 1/2: no rebalances, zero defect and exact replication.
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(KINK)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg_file), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    (result,) = out.glob("*.csv")
+    for line in result.read_text().splitlines()[1:]:
+        assert line.split(",")[2] == "0"
+
+
+_small_configs = st.fixed_dictionaries(
+    {
+        "s0": st.one_of(st.just(100.0), st.floats(1e-3, 1e4)),
+        "mu": st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+        "sigma": st.one_of(st.just(0.0), st.floats(0.0, 50.0)),
+        "r": st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+        "horizon": st.floats(1e-3, 10.0),
+        "base_steps": st.integers(1, 5),
+        "refinement_factors": st.sampled_from(["1", "1,2", "1,2,4", "1,3,9"]),
+        "n_paths": st.integers(1, 4),
+        "seed": st.integers(0, 2**64),
+        "strike": st.one_of(st.just(100.0), st.floats(1e-3, 1e4)),
+    }
+)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(command=st.sampled_from(["simulate", "verify", "hedge", "martingale"]), keys=_small_configs)
+def test_main_small_configs_exit_cleanly(command, keys):
+    # An exception escaping main() is what prints a traceback on the command line.
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_file = Path(tmp) / "run.cfg"
+        cfg_file.write_text("".join(f"{k} = {v!r}\n" for k, v in keys.items()))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            status = main([command, "--config", str(cfg_file), "--out", str(Path(tmp) / "out")])
+    assert status in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

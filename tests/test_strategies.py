@@ -184,3 +184,16 @@ def test_predictability_no_use_of_the_future():
         h2 = build(mp2)
         assert np.array_equal(h1.a[: cut + 1], h2.a[: cut + 1])
         assert np.array_equal(h1.b[: cut + 1], h2.b[: cut + 1])
+
+
+def test_bs_delta_on_the_sigma_zero_kink_is_the_vol_limit():
+    # s = strike * exp(-rate * tau) with vol = 0 < tau: d1 is 0/0, and its
+    # limit as vol -> 0 along the kink is 0, so the delta is Phi(0) = 1/2.
+    assert bs_delta(100.0, 100.0, 0.0, 0.0, 1.0) == 0.5
+    assert bs_delta(100.0, 100.0, 1e-9, 0.0, 1.0) == pytest.approx(0.5, abs=1e-9)
+    deltas = bs_delta(np.array([100.0, 120.0, 80.0]), 100.0, 0.0, 0.0, np.full(3, 0.5))
+    assert deltas.tolist() == [0.5, 1.0, 0.0]
+    with pytest.raises(ValueError, match="expiry"):
+        bs_delta(np.array([100.0, 120.0]), 100.0, 0.0, 0.0, np.array([0.0, 0.5]))
+    with pytest.raises(ValueError, match="infinite"):
+        bs_delta(100.0, 100.0, math.inf, 0.0, 1.0)  # inf/inf, not the kink
