@@ -49,18 +49,13 @@ class SmoothFunction:
     d2f_ds2: Callable
 
 
-def _require_same_grid(a_grid: TimeGrid, b_grid: TimeGrid) -> None:
-    if not a_grid.same_as(b_grid):
-        raise ValueError("operands live on different time grids")
-
-
 def ito_integral(integrand: SampledSeries, integrator: SampledSeries) -> SampledSeries:
     """Cumulative left-endpoint integral of `integrand` against `integrator`.
 
     G_0 = 0 and G_{k+1} = G_k + h_k * (X_{k+1} - X_k) with h sampled at the
     left endpoint of each step.
     """
-    _require_same_grid(integrand.grid, integrator.grid)
+    integrand.grid.require_same(integrator.grid)
     terms = integrand.values[:-1] * np.diff(integrator.values)
     out = np.empty(integrand.grid.n_points)
     out[0] = 0.0
@@ -70,7 +65,7 @@ def ito_integral(integrand: SampledSeries, integrator: SampledSeries) -> Sampled
 
 def quadratic_covariation(x: SampledSeries, y: SampledSeries) -> SampledSeries:
     """Cumulative sum of increment products, C_{k+1} = C_k + dx_k * dy_k."""
-    _require_same_grid(x.grid, y.grid)
+    x.grid.require_same(y.grid)
     terms = np.diff(x.values) * np.diff(y.values)
     out = np.empty(x.grid.n_points)
     out[0] = 0.0

@@ -54,41 +54,44 @@ def _parse_factors(value: str) -> tuple[int, ...]:
     return tuple(int(part.strip()) for part in value.split(","))
 
 
-# key -> (parser, constraint predicate, constraint description)
+# key -> parser. Defaults and constraints live in the config dataclasses
+# (ExperimentConfig, GbmParams, EuropeanCall).
 _CONFIG_KEYS = {
-    "s0": (float, lambda v: v > 0, "s0 must be > 0"),
-    "mu": (float, lambda v: True, ""),
-    "sigma": (float, lambda v: v >= 0, "sigma must be >= 0"),
-    "r": (float, lambda v: True, ""),
-    "horizon": (float, lambda v: v > 0, "horizon must be > 0"),
-    "base_steps": (int, lambda v: v >= 1, "base_steps must be >= 1"),
-    "refinement_factors": (
-        _parse_factors,
-        lambda v: len(v) > 0 and all(f >= 1 for f in v) and all(b > a for a, b in zip(v, v[1:])),
-        "refinement_factors must be strictly increasing integers >= 1",
-    ),
-    "n_paths": (int, lambda v: v >= 1, "n_paths must be >= 1"),
-    "seed": (int, lambda v: v >= 0, "seed must be >= 0"),
-    "strike": (float, lambda v: v > 0, "strike must be > 0"),
+    "s0": float,
+    "mu": float,
+    "sigma": float,
+    "r": float,
+    "horizon": float,
+    "base_steps": int,
+    "refinement_factors": _parse_factors,
+    "n_paths": int,
+    "seed": int,
+    "strike": float,
 }
 
-_DEFAULTS = {
-    "s0": 100.0,
-    "mu": 0.05,
-    "sigma": 0.2,
-    "r": 0.05,
-    "horizon": 1.0,
-    "base_steps": 64,
-    "refinement_factors": (1, 4, 16),
-    "n_paths": 10_000,
-    "seed": 42,
-    "strike": 100.0,
-}
+# EuropeanCall has no default; the CLI hedges an at-the-money call.
+_DEFAULT_STRIKE = 100.0
+
+
+def _flat(cfg: ExperimentConfig) -> dict:
+    """The config as the flat key -> value view of the document form."""
+    return {
+        "s0": cfg.params.s0,
+        "mu": cfg.params.mu,
+        "sigma": cfg.params.sigma,
+        "r": cfg.params.r,
+        "horizon": cfg.horizon,
+        "base_steps": cfg.base_steps,
+        "refinement_factors": cfg.refinement_factors,
+        "n_paths": cfg.n_paths,
+        "seed": cfg.seed,
+        "strike": _DEFAULT_STRIKE if cfg.hedge is None else cfg.hedge.strike,
+    }
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Resolve a flat key-value document against the documented defaults."""
-    resolved = dict(_DEFAULTS)
+    resolved = _flat(ExperimentConfig())
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -100,15 +103,11 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ValueError(f"line {lineno}: expected 'key = value', got {line.strip()!r}")
         if key not in _CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r}")
-        parser, ok, constraint = _CONFIG_KEYS[key]
         try:
-            parsed = parser(value)
+            resolved[key] = _CONFIG_KEYS[key](value)
         except ValueError:
             raise ValueError(f"invalid value for {key!r}: {value!r}") from None
-        if not ok(parsed):
-            raise ValueError(f"invalid value for {key!r}: {constraint}")
-        resolved[key] = parsed
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         params=GbmParams(
             s0=resolved["s0"], mu=resolved["mu"], sigma=resolved["sigma"], r=resolved["r"]
         ),
@@ -117,29 +116,21 @@ def parse_config(text: str) -> ExperimentConfig:
         refinement_factors=resolved["refinement_factors"],
         n_paths=resolved["n_paths"],
         seed=resolved["seed"],
-        hedge=EuropeanCall(strike=resolved["strike"], expiry=resolved["horizon"]),
     )
+    # The hedge expires at the horizon; built once the horizon has been
+    # validated, so a bad horizon is reported as such.
+    return dataclasses.replace(cfg, hedge=EuropeanCall(strike=resolved["strike"], expiry=cfg.horizon))
 
 
 def config_to_text(cfg: ExperimentConfig) -> str:
     """Render a config back to the flat document form (parse round-trips)."""
-    values = {
-        "s0": cfg.params.s0,
-        "mu": cfg.params.mu,
-        "sigma": cfg.params.sigma,
-        "r": cfg.params.r,
-        "horizon": cfg.horizon,
-        "base_steps": cfg.base_steps,
-        "refinement_factors": ",".join(str(f) for f in cfg.refinement_factors),
-        "n_paths": cfg.n_paths,
-        "seed": cfg.seed,
-        "strike": cfg.hedge.strike if cfg.hedge is not None else _DEFAULTS["strike"],
-    }
     lines = []
-    for key in _DEFAULTS:
-        value = values[key]
-        rendered = format(value, ".17g") if isinstance(value, float) else str(value)
-        lines.append(f"{key} = {rendered}")
+    for key, value in _flat(cfg).items():
+        if isinstance(value, tuple):
+            value = ",".join(str(f) for f in value)
+        elif isinstance(value, float):
+            value = format(value, ".17g")
+        lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"
 
 

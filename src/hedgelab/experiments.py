@@ -9,10 +9,10 @@ in one batched pass (paths.gbm_batch), which reproduces the per-path
 default_rng([seed, i]) streams, and so the single-path API's stock values,
 bit for bit.
 
-Internally the per-path ledger recurrences are vectorized across the path
-axis (loops run over time steps only); the batch kernels execute the same
-IEEE operation sequence per path as the single-path ledger module and are
-cross-checked against it in the test suite.
+The studies run the path-axis kernels of the ledger and strategies modules
+(complete_bond, defect_series, constant_mix_holdings, delta_stock_holdings)
+on the whole (n_paths, n_points) stock array; the single-path API runs the
+same kernels on one path.
 """
 
 from __future__ import annotations
@@ -24,13 +24,15 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .accum import comp_cumsum
+from .ledger import complete_bond, defect_series
 from .paths import GbmParams, TimeGrid, gbm_batch, uniform_grid
+from .strategies import EuropeanCall, constant_mix_holdings, delta_stock_holdings
 
-# The single-path builders stay importable from this module: the traced
-# benchmark run (perfbench/tracing.py) wraps them here by name.
+# Unused here, but the traced benchmark run (perfbench/tracing.py) wraps
+# these names as attributes of this module and fails if one is missing.
+from .accum import comp_cumsum  # noqa: F401
 from .paths import gbm_path, generate_brownian, refine  # noqa: F401
-from .strategies import EuropeanCall, bs_delta, bs_price
+from .strategies import bs_delta  # noqa: F401
 
 DEFAULT_TOLERANCES: Mapping[str, float] = {
     # Absolute defect budget: floating-point noise for currency values of
@@ -71,9 +73,9 @@ class ExperimentConfig:
             raise ValueError("seed must be >= 0")
         factors = tuple(int(f) for f in self.refinement_factors)
         if not factors or any(f < 1 for f in factors):
-            raise ValueError("refinement factors must be >= 1")
+            raise ValueError("refinement_factors must be >= 1")
         if any(b <= a for a, b in zip(factors, factors[1:])):
-            raise ValueError("refinement factors must be strictly increasing")
+            raise ValueError("refinement_factors must be strictly increasing")
         unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
         if unknown:
             raise ValueError(f"unknown tolerance names: {sorted(unknown)}")
@@ -101,7 +103,7 @@ def _verdict(rows) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Batch market and strategy kernels (vectorized over the path axis)
+# Batch market
 # ---------------------------------------------------------------------------
 
 
@@ -150,40 +152,16 @@ def _batch_market(
     return BatchMarket(grid.times, stock, bond, params.r, params.sigma)
 
 
-def _batch_enforce(a: np.ndarray, mkt: BatchMarket, y0: float) -> np.ndarray:
-    """Self-financing bond completion, per path (mirrors ledger.enforce_self_financing)."""
-    a2 = np.broadcast_to(a, mkt.stock.shape)
-    transfers = (a2[:, :-1] - a2[:, 1:]) * mkt.stock[:, 1:] / mkt.bond[1:]
-    b = np.empty_like(mkt.stock)
-    b[:, 0] = (float(y0) - a2[:, 0] * mkt.stock[:, 0]) / mkt.bond[0]
-    b[:, 1:] = b[:, :1] + comp_cumsum(transfers, axis=-1)
-    return b
+def _delta_hedge(mkt: BatchMarket, option: EuropeanCall, hedge_vol: float):
+    """Self-financing delta-hedge holdings (a, b) of every path."""
+    a, y0 = delta_stock_holdings(option, mkt.stock, mkt.times, mkt.rate, hedge_vol)
+    return a, complete_bond(a, mkt.stock, mkt.bond, y0)
 
 
-def _batch_defect(a: np.ndarray, b: np.ndarray, mkt: BatchMarket) -> np.ndarray:
-    """Cumulative defect D per path (mirrors ledger.self_financing_defect)."""
-    a2 = np.broadcast_to(a, mkt.stock.shape)
-    b2 = np.broadcast_to(b, mkt.stock.shape)
-    value = a2 * mkt.stock + b2 * mkt.bond
-    terms = a2[:, :-1] * np.diff(mkt.stock, axis=-1) + b2[:, :-1] * np.diff(mkt.bond)
-    gain = np.empty_like(value)
-    gain[:, 0] = 0.0
-    gain[:, 1:] = comp_cumsum(terms, axis=-1)
-    return value - value[:, :1] - gain
-
-
-def _batch_delta_hedge(
-    mkt: BatchMarket, option: EuropeanCall, hedge_vol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Delta-hedge holdings for every path (mirrors strategies.delta_hedge)."""
-    horizon = float(mkt.times[-1])
-    if not math.isclose(option.expiry, horizon, rel_tol=1e-12, abs_tol=0.0):
-        raise ValueError("option expiry must equal the grid horizon")
-    taus = option.expiry - mkt.times[:-1]
-    head = bs_delta(mkt.stock[:, :-1], option.strike, hedge_vol, mkt.rate, taus)
-    a = np.hstack([head, head[:, -1:]])
-    y0 = bs_price(float(mkt.stock[0, 0]), option.strike, hedge_vol, mkt.rate, option.expiry)
-    return a, _batch_enforce(a, mkt, y0)
+def _max_abs_defect(a: np.ndarray, b: np.ndarray, mkt: BatchMarket) -> float:
+    # Indexing drops the value and gain series before np.abs allocates.
+    defect = defect_series(a, b, mkt.stock, mkt.bond)[2]
+    return float(np.max(np.abs(defect)))
 
 
 # ---------------------------------------------------------------------------
@@ -201,20 +179,7 @@ def buy_and_hold_spec(a0: float, b0: float) -> StrategySpec:
 
 def constant_mix_spec(stock_weight: float, initial_wealth: float) -> StrategySpec:
     def build(mkt: BatchMarket):
-        n_paths, n = mkt.stock.shape
-        w = float(stock_weight)
-        a = np.empty((n_paths, n))
-        b = np.empty((n_paths, n))
-        wealth = np.full(n_paths, float(initial_wealth))
-        a[:, 0] = w * wealth / mkt.stock[:, 0]
-        b[:, 0] = (1.0 - w) * wealth / mkt.bond[0]
-        for k in range(1, n - 1):
-            wealth = a[:, k - 1] * mkt.stock[:, k] + b[:, k - 1] * mkt.bond[k]
-            a[:, k] = w * wealth / mkt.stock[:, k]
-            b[:, k] = (1.0 - w) * wealth / mkt.bond[k]
-        a[:, n - 1] = a[:, n - 2]
-        b[:, n - 1] = b[:, n - 2]
-        return a, b
+        return constant_mix_holdings(mkt.stock, mkt.bond, stock_weight, initial_wealth)
 
     return StrategySpec(f"constant_mix(w={stock_weight:g})", build)
 
@@ -222,7 +187,7 @@ def constant_mix_spec(stock_weight: float, initial_wealth: float) -> StrategySpe
 def delta_hedge_spec(option: EuropeanCall, hedge_vol: float | None = None) -> StrategySpec:
     def build(mkt: BatchMarket):
         vol = mkt.sigma if hedge_vol is None else float(hedge_vol)
-        return _batch_delta_hedge(mkt, option, vol)
+        return _delta_hedge(mkt, option, vol)
 
     return StrategySpec(f"delta_hedge(K={option.strike:g})", build)
 
@@ -267,15 +232,15 @@ def defect_refinement_study(cfg: ExperimentConfig) -> ExperimentResult:
     rows = []
     for factor in cfg.refinement_factors:
         mkt = _batch_market(cfg.params, base_grid, factor, cfg.n_paths, cfg.seed, "physical")
-        a, b = _batch_delta_hedge(mkt, cfg.hedge, cfg.params.sigma)
+        a, b = _delta_hedge(mkt, cfg.hedge, cfg.params.sigma)
         n_steps = mkt.times.size - 1
 
-        max_enforced = float(np.max(np.abs(_batch_defect(a, b, mkt))))
+        max_enforced = _max_abs_defect(a, b, mkt)
         status = "pass" if max_enforced <= tol else "fail"
         rows.append(ResultRow(f"N={n_steps} enforced", max_enforced, 0.0, status))
 
         frozen_b = np.broadcast_to(b[:, :1], b.shape)
-        max_frozen = float(np.max(np.abs(_batch_defect(a, frozen_b, mkt))))
+        max_frozen = _max_abs_defect(a, frozen_b, mkt)
         rebalances = bool(np.any(np.diff(a, axis=-1) != 0.0))
         if not rebalances:
             status = "pass"  # nothing to break: control is vacuous
@@ -342,7 +307,7 @@ def hedging_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     rms_values = []
     for factor in cfg.refinement_factors:
         mkt = _batch_market(cfg.params, base_grid, factor, cfg.n_paths, cfg.seed, "physical")
-        a, b = _batch_delta_hedge(mkt, cfg.hedge, cfg.params.sigma)
+        a, b = _delta_hedge(mkt, cfg.hedge, cfg.params.sigma)
         terminal = a[:, -1] * mkt.stock[:, -1] + b[:, -1] * mkt.bond[-1]
         payoff = np.maximum(mkt.stock[:, -1] - cfg.hedge.strike, 0.0)
         err_sq = (terminal - payoff) ** 2

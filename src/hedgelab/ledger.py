@@ -70,14 +70,44 @@ class LedgerReport:
         object.__setattr__(self, "step_terms", terms)
 
 
-def _require_same_grid(h: HoldingsSchedule, m: MarketPath) -> None:
-    if not h.grid.same_as(m.grid):
-        raise ValueError("holdings and market path live on different time grids")
+# Kernels: holdings and stock are one path (n_points,) or a batch
+# (..., n_points); the bond series is shared. Every path of a batch gets the
+# same IEEE operations as a 1-D call.
+
+
+def gain_series(a, b, stock, bond) -> np.ndarray:
+    """G_0 = 0, G_{k+1} = G_k + a_k * dS_k + b_k * dbeta_k, along the last axis."""
+    terms = a[..., :-1] * np.diff(stock, axis=-1) + b[..., :-1] * np.diff(bond)
+    out = np.empty((*terms.shape[:-1], terms.shape[-1] + 1))
+    out[..., 0] = 0.0
+    out[..., 1:] = comp_cumsum(terms, axis=-1)
+    return out
+
+
+def defect_series(a, b, stock, bond) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Value Y = a S + b beta, gain G and cumulative defect D = Y - Y_0 - G."""
+    value = a * stock + b * bond
+    gain = gain_series(a, b, stock, bond)
+    return value, gain, value - value[..., :1] - gain
+
+
+def complete_bond(a, stock, bond, y0: float) -> np.ndarray:
+    """The unique self-financing bond holdings for stock holdings `a`.
+
+    b_0 = (y0 - a_0 * S_0) / beta_0, and every rebalance transfers value
+    between the accounts at the new prices:
+    b_{k+1} = b_k + (a_k - a_{k+1}) * S_{k+1} / beta_{k+1}.
+    """
+    transfers = (a[..., :-1] - a[..., 1:]) * stock[..., 1:] / bond[1:]
+    b = np.empty((*transfers.shape[:-1], transfers.shape[-1] + 1))
+    b[..., 0] = (float(y0) - a[..., 0] * stock[..., 0]) / bond[0]
+    b[..., 1:] = b[..., :1] + comp_cumsum(transfers, axis=-1)
+    return b
 
 
 def portfolio_value(h: HoldingsSchedule, m: MarketPath) -> SampledSeries:
     """Y_k = a_k * S_k + b_k * beta_k."""
-    _require_same_grid(h, m)
+    h.grid.require_same(m.grid)
     return SampledSeries(h.grid, h.a * m.stock + h.b * m.bond)
 
 
@@ -86,12 +116,8 @@ def gain_process(h: HoldingsSchedule, m: MarketPath) -> SampledSeries:
 
     G_0 = 0, G_{k+1} = G_k + a_k * dS_k + b_k * dbeta_k.
     """
-    _require_same_grid(h, m)
-    terms = h.a[:-1] * np.diff(m.stock) + h.b[:-1] * np.diff(m.bond)
-    out = np.empty(h.grid.n_points)
-    out[0] = 0.0
-    out[1:] = comp_cumsum(terms)
-    return SampledSeries(h.grid, out)
+    h.grid.require_same(m.grid)
+    return SampledSeries(h.grid, gain_series(h.a, h.b, m.stock, m.bond))
 
 
 def _step_terms(h: HoldingsSchedule, m: MarketPath) -> StepTerms:
@@ -112,10 +138,8 @@ def self_financing_defect(h: HoldingsSchedule, m: MarketPath) -> LedgerReport:
     measures the external value created or destroyed up to t_k, and equals
     the running sum of the four step terms (exact discrete product rule).
     """
-    _require_same_grid(h, m)
-    value = h.a * m.stock + h.b * m.bond
-    gain = gain_process(h, m).values
-    defect = value - value[0] - gain
+    h.grid.require_same(m.grid)
+    value, gain, defect = defect_series(h.a, h.b, m.stock, m.bond)
     return LedgerReport(h.grid, value, gain, defect, _step_terms(h, m))
 
 
@@ -128,7 +152,7 @@ def ito_expansion_terms(
     for a self-financing strategy the four series cancel at every index
     without being individually zero.
     """
-    _require_same_grid(h, m)
+    h.grid.require_same(m.grid)
     out = []
     for terms in _step_terms(h, m):
         series = np.empty(h.grid.n_points)
@@ -139,21 +163,12 @@ def ito_expansion_terms(
 
 
 def enforce_self_financing(a: SampledSeries, m: MarketPath, y0: float) -> HoldingsSchedule:
-    """Complete a stock schedule with the unique self-financing bond account.
-
-    b_0 = (y0 - a_0 * S_0) / beta_0, and every rebalance transfers value
-    between the accounts at the new prices:
-    b_{k+1} = b_k + (a_k - a_{k+1}) * S_{k+1} / beta_{k+1}.
-    The resulting defect is zero up to compensated-summation rounding.
+    """Complete a stock schedule with the unique self-financing bond account
+    (see `complete_bond`). The resulting defect is zero up to
+    compensated-summation rounding.
     """
-    if not a.grid.same_as(m.grid):
-        raise ValueError("stock schedule and market path live on different time grids")
-    av = a.values
-    transfers = (av[:-1] - av[1:]) * m.stock[1:] / m.bond[1:]
-    b = np.empty(m.grid.n_points)
-    b[0] = (float(y0) - av[0] * m.stock[0]) / m.bond[0]
-    b[1:] = b[0] + comp_cumsum(transfers)
-    return HoldingsSchedule(m.grid, av, b)
+    a.grid.require_same(m.grid)
+    return HoldingsSchedule(m.grid, a.values, complete_bond(a.values, m.stock, m.bond, y0))
 
 
 def write_ledger_csv(h: HoldingsSchedule, m: MarketPath, dest) -> Path:

@@ -80,8 +80,10 @@ class TimeGrid:
         """Step lengths, one per interval."""
         return np.diff(self.times)
 
-    def same_as(self, other: "TimeGrid") -> bool:
-        return self is other or np.array_equal(self.times, other.times)
+    def require_same(self, other: "TimeGrid") -> None:
+        """Raise unless `other` holds the same instants (operands must share a grid)."""
+        if not (self is other or np.array_equal(self.times, other.times)):
+            raise ValueError("operands live on different time grids")
 
 
 @dataclass(frozen=True)

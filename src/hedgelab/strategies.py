@@ -60,6 +60,29 @@ def buy_and_hold(grid: TimeGrid, a0: float, b0: float) -> HoldingsSchedule:
     return HoldingsSchedule(grid, np.full(n, float(a0)), np.full(n, float(b0)))
 
 
+# Kernels: stock is one path (n_points,) or a batch (..., n_points); bond
+# and times are shared. Every path of a batch gets the same IEEE operations
+# as a 1-D call.
+
+
+def constant_mix_holdings(stock, bond, w: float, wealth0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Holdings (a, b) that rebalance to stock fraction w of the wealth at
+    every grid point, starting from wealth0."""
+    w = float(w)
+    a = np.empty(stock.shape)
+    b = np.empty(stock.shape)
+    wealth = float(wealth0)
+    a[..., 0] = w * wealth / stock[..., 0]
+    b[..., 0] = (1.0 - w) * wealth / bond[0]
+    for k in range(1, stock.shape[-1] - 1):
+        wealth = a[..., k - 1] * stock[..., k] + b[..., k - 1] * bond[k]
+        a[..., k] = w * wealth / stock[..., k]
+        b[..., k] = (1.0 - w) * wealth / bond[k]
+    a[..., -1] = a[..., -2]
+    b[..., -1] = b[..., -2]
+    return a, b
+
+
 def constant_mix(path: MarketPath, stock_weight: float, initial_wealth: float) -> HoldingsSchedule:
     """Rebalance at every grid point to a fixed stock fraction of wealth.
 
@@ -67,21 +90,7 @@ def constant_mix(path: MarketPath, stock_weight: float, initial_wealth: float) -
     between the stock and bond accounts), so the schedule is self-financing
     up to floating-point rounding.
     """
-    s = path.stock
-    beta = path.bond
-    n = path.grid.n_points
-    w = float(stock_weight)
-    a = np.empty(n)
-    b = np.empty(n)
-    wealth = float(initial_wealth)
-    a[0] = w * wealth / s[0]
-    b[0] = (1.0 - w) * wealth / beta[0]
-    for k in range(1, n - 1):
-        wealth = a[k - 1] * s[k] + b[k - 1] * beta[k]
-        a[k] = w * wealth / s[k]
-        b[k] = (1.0 - w) * wealth / beta[k]
-    a[n - 1] = a[n - 2]
-    b[n - 1] = b[n - 2]
+    a, b = constant_mix_holdings(path.stock, path.bond, stock_weight, initial_wealth)
     return HoldingsSchedule(path.grid, a, b)
 
 
@@ -146,20 +155,27 @@ def bs_delta(s, strike: float, vol: float, rate: float, tau):
     return float(out) if np.ndim(s) == 0 and np.ndim(tau) == 0 else out
 
 
+def delta_stock_holdings(option: EuropeanCall, stock, times, rate: float, vol: float):
+    """Delta stock holdings a and the Black-Scholes price y0 of the call.
+
+    a_k = bs_delta(S_k, strike, vol, rate, T - t_k) over each interval; the
+    last interval uses the time-to-expiry at its start. y0 is priced at the
+    first path's initial spot: every path of a batch starts at s0.
+    """
+    if not math.isclose(option.expiry, float(times[-1]), rel_tol=1e-12, abs_tol=0.0):
+        raise ValueError("option expiry must equal the grid horizon")
+    head = bs_delta(stock[..., :-1], option.strike, vol, rate, option.expiry - times[:-1])
+    a = np.concatenate([head, head[..., -1:]], axis=-1)
+    y0 = bs_price(float(stock.flat[0]), option.strike, vol, rate, option.expiry)
+    return a, y0
+
+
 def delta_hedge(option: EuropeanCall, path: MarketPath, hedge_vol: float) -> HoldingsSchedule:
     """Delta-hedge the call along the path, bond account completed so the
-    schedule is self-financing and starts at the Black-Scholes price.
-
-    a_k = bs_delta(S_k, strike, hedge_vol, r, T - t_k) over each interval;
-    the last interval uses the time-to-expiry at its start.
+    schedule is self-financing and starts at the Black-Scholes price
+    (see `delta_stock_holdings`).
     """
-    horizon = path.grid.horizon
-    if not math.isclose(option.expiry, horizon, rel_tol=1e-12, abs_tol=0.0):
-        raise ValueError("option expiry must equal the grid horizon")
-    taus = option.expiry - path.grid.times[:-1]
-    head = bs_delta(path.stock[:-1], option.strike, hedge_vol, path.rate, taus)
-    a = np.append(np.atleast_1d(head), head[-1])
-    y0 = bs_price(path.stock[0], option.strike, hedge_vol, path.rate, option.expiry)
+    a, y0 = delta_stock_holdings(option, path.stock, path.grid.times, path.rate, hedge_vol)
 
     from .ledger import enforce_self_financing  # deferred: ledger imports this module
 
@@ -186,8 +202,7 @@ def broken_strategy(
     if mode == "cash_injection":
         if path is None:
             raise ValueError("cash_injection needs the market path for the bond price")
-        if not base.grid.same_as(path.grid):
-            raise ValueError("schedule and path live on different time grids")
+        base.grid.require_same(path.grid)
         if not 0 <= int(at_index) < base.grid.n_points:
             raise ValueError("injection index out of range")
         b = base.b.copy()

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import re
 import tempfile
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hedgelab import cli
 from hedgelab.cli import RunManifest, config_to_text, main, parse_config, run
 from hedgelab.paths import GbmParams
 
@@ -48,6 +50,41 @@ def test_parse_config_constraint_named_in_error():
         parse_config("refinement_factors = 4,2\n")
     with pytest.raises(ValueError, match="base_steps"):
         parse_config("base_steps = one\n")
+
+
+def test_module_docstring_lists_the_defaults():
+    documented = re.findall(r"^    (\w+) = (\S+)", cli.__doc__, flags=re.MULTILINE)
+    keys = [line.split(" = ")[0] for line in config_to_text(parse_config("")).splitlines()]
+    assert [key for key, _ in documented] == keys
+    assert parse_config("".join(f"{k} = {v}\n" for k, v in documented)) == parse_config("")
+
+
+_OUT_OF_RANGE = [
+    ("s0", "0"), ("mu", "inf"), ("sigma", "-0.1"), ("r", "-inf"), ("horizon", "-1"),
+    ("base_steps", "0"), ("refinement_factors", "4,2"), ("n_paths", "0"), ("seed", "-1"),
+    ("strike", "0"),
+    ("s0", "inf"), ("mu", "nan"), ("horizon", "inf"), ("strike", "inf"),
+]
+
+
+@pytest.mark.parametrize(
+    "flags, config, key",
+    [([], f"{key} = {value}\n", key) for key, value in _OUT_OF_RANGE]
+    + [(["--seed", "-1"], "", "seed"), (["--paths", "0"], "", "n_paths")],
+    ids=[f"{key}={value}" for key, value in _OUT_OF_RANGE] + ["--seed=-1", "--paths=0"],
+)
+def test_main_config_error_names_the_key(tmp_path, capsys, flags, config, key):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(config)
+    out = tmp_path / "out"
+    status = main(["verify", "--config", str(cfg_file), "--out", str(out), *flags])
+    err = capsys.readouterr().err
+    assert status == 2
+    assert "Traceback" not in err
+    (line,) = err.strip().splitlines()
+    assert line.startswith("config error: ")
+    assert re.search(rf"\b{key}\b", line.removeprefix("config error: ")), line
+    assert not out.exists()
 
 
 def test_config_text_round_trip():

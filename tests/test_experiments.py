@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,9 +8,6 @@ import pytest
 from hedgelab.experiments import (
     ExperimentConfig,
     StrategySpec,
-    _batch_defect,
-    _batch_delta_hedge,
-    _batch_enforce,
     _batch_market,
     buy_and_hold_spec,
     cash_injection_spec,
@@ -20,9 +18,17 @@ from hedgelab.experiments import (
     martingale_test,
     write_result_csv,
 )
-from hedgelab.ledger import self_financing_defect
+from hedgelab.calculus import SampledSeries
+from hedgelab.cli import _default_martingale_roster
+from hedgelab.ledger import complete_bond, defect_series, enforce_self_financing, self_financing_defect
 from hedgelab.paths import GbmParams, generate_brownian, gbm_path, refine, uniform_grid
-from hedgelab.strategies import EuropeanCall, constant_mix, delta_hedge
+from hedgelab.strategies import (
+    EuropeanCall,
+    HoldingsSchedule,
+    constant_mix,
+    delta_hedge,
+    delta_stock_holdings,
+)
 
 
 def small_cfg(**overrides):
@@ -54,12 +60,19 @@ def test_config_invariants():
 
 
 def test_batch_kernels_match_single_path_ledger():
-    # the vectorized recurrences must reproduce the per-path modules bitwise
+    # the kernels run on a batch must reproduce the per-path API bitwise
     cfg = small_cfg(n_paths=16, base_steps=24)
     grid = uniform_grid(cfg.horizon, cfg.base_steps)
     mkt = _batch_market(cfg.params, grid, 1, cfg.n_paths, cfg.seed, "physical")
-    a, b = _batch_delta_hedge(mkt, cfg.hedge, cfg.params.sigma)
-    defect = _batch_defect(a, b, mkt)
+    a, y0 = delta_stock_holdings(cfg.hedge, mkt.stock, mkt.times, mkt.rate, cfg.params.sigma)
+    b = complete_bond(a, mkt.stock, mkt.bond, y0)
+    _, _, defect = defect_series(a, b, mkt.stock, mkt.bond)
+    # shared (n,) holdings against (P, n) stock, as buy_and_hold_spec and
+    # cash_injection_spec build them
+    a_shared, b_shared = cash_injection_spec(5.0, a0=0.5, b0=20.0).build(mkt)
+    _, _, shared_defect = defect_series(a_shared, b_shared, mkt.stock, mkt.bond)
+    ramp = np.linspace(0.5, 1.5, grid.n_points)
+    ramp_b = complete_bond(ramp, mkt.stock, mkt.bond, 100.0)
     for i in range(cfg.n_paths):
         mp = gbm_path(cfg.params, generate_brownian(grid, cfg.seed, i), "physical")
         assert np.array_equal(mp.stock, mkt.stock[i])
@@ -68,6 +81,10 @@ def test_batch_kernels_match_single_path_ledger():
         assert np.array_equal(h.b, b[i])
         rep = self_financing_defect(h, mp)
         assert np.array_equal(rep.defect, defect[i])
+        shared = self_financing_defect(HoldingsSchedule(grid, a_shared, b_shared), mp)
+        assert np.array_equal(shared.defect, shared_defect[i])
+        enforced = enforce_self_financing(SampledSeries(grid, ramp), mp, 100.0)
+        assert np.array_equal(enforced.b, ramp_b[i])
 
 
 def test_batch_constant_mix_matches_single_path():
@@ -199,7 +216,7 @@ def test_martingale_property_for_random_enforced_schedules():
         def build(mkt, thresholds=thresholds, levels=levels):
             a = levels[np.searchsorted(thresholds, mkt.stock)]
             a[:, -1] = a[:, -2]
-            b = _batch_enforce(a, mkt, 100.0)
+            b = complete_bond(a, mkt.stock, mkt.bond, 100.0)
             return a, b
 
         spec = StrategySpec(f"random_step_{run}", build)
@@ -273,3 +290,39 @@ def test_result_csv_format(tmp_path):
     assert lines[0] == "name,param,statistic,stderr,verdict"
     assert len(lines) == len(res.rows) + 1
     assert all(line.startswith("defect_refinement,") for line in lines[1:])
+
+
+def _peak_bytes(fn) -> int:
+    """Peak traced memory of fn(), above what was allocated before the call."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "study, steps_per_path, bound",
+    [
+        (defect_refinement_study, 64 * 16, 7.52),
+        (hedging_convergence, 64 * 16, 6.54),
+        (lambda cfg: martingale_test(cfg, _default_martingale_roster(cfg)), 64, 10.14),
+    ],
+    ids=["defect_refinement_study", "hedging_convergence", "martingale_test"],
+)
+def test_study_peak_memory_in_full_size_arrays(study, steps_per_path, bound):
+    # Unit: one n_paths x n_points float64 array at the finest grid. Each
+    # bound is the study's measured peak (7.507, 6.528 and 10.133 arrays)
+    # plus under 0.01, so one more full-size temporary at the peak fails.
+    cfg = ExperimentConfig(
+        n_paths=400, base_steps=64, refinement_factors=(1, 4, 16), seed=3,
+        hedge=EuropeanCall(100.0, 1.0),
+    )
+    peak = _peak_bytes(lambda: study(cfg)) / (cfg.n_paths * (steps_per_path + 1) * 8)
+    assert peak <= bound, f"peak {peak:.2f} full-size arrays > {bound}"
