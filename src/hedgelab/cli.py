@@ -16,7 +16,9 @@ has a documented default so an empty document is a complete configuration:
 
 Subcommands: simulate (path + ledger CSVs), verify (defect refinement
 study), hedge (hedging-error convergence), martingale (equal rate of
-return test). Each run writes its CSVs plus a manifest.json into --out and
+return test). simulate generates its paths in fixed blocks with the batch
+engine (paths.gbm_batch) and writes paths.csv byte-identically to the
+per-path stream, in memory that does not grow with n_paths. Each run writes its CSVs plus a manifest.json into --out and
 exits 0 iff every experiment verdict passes; negative controls that
 violate as expected are marked expected-fail and do not fail the run.
 """
@@ -24,11 +26,12 @@ violate as expected are marked expected-fail and do not fail the run.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .experiments import (
@@ -44,10 +47,16 @@ from .experiments import (
     write_result_csv,
 )
 from .ledger import write_ledger_csv
-from .paths import GbmParams, generate_brownian, gbm_path, uniform_grid
+from .paths import GbmParams, MarketPath, gbm_batch, gbm_path, generate_brownian, uniform_grid
 from .strategies import EuropeanCall, delta_hedge
 
 COMMANDS = ("simulate", "verify", "hedge", "martingale")
+
+# simulate's block sizes: paths per gbm_batch call, and paths.csv rows per
+# formatted chunk. Neither changes a byte of the output; together they
+# bound the writer's memory whatever n_paths is.
+_PATH_BLOCK = 128
+_ROW_CHUNK = 2048
 
 
 def _parse_factors(value: str) -> tuple[int, ...]:
@@ -175,20 +184,36 @@ def _default_martingale_roster(cfg: ExperimentConfig):
     return roster
 
 
-def _write_paths_csv(cfg: ExperimentConfig, dest: Path) -> None:
-    grid = uniform_grid(cfg.horizon, cfg.base_steps)
+def _write_paths_csv(cfg: ExperimentConfig, path0: MarketPath, dest: Path) -> None:
+    """Write every path's rows, _PATH_BLOCK paths per gbm_batch call.
+
+    Each chunk of up to _ROW_CHUNK rows is formatted by one `%`. The index,
+    t and beta columns are the same on every path (beta is path 0's bond),
+    so each step's row template carries them preformatted. For a Python
+    float, "%.17g" % x is format(x, ".17g"), the per-value form.
+    """
+    grid, n = path0.grid, path0.grid.n_points
+    templates = [
+        f"%d,{k},{t:.17g},%.17g,{b:.17g},%.17g\n"
+        for k, (t, b) in enumerate(zip(grid.times.tolist(), path0.bond.tolist()))
+    ]
     with open(dest, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["path", "index", "t", "S", "beta", "dW"])
-        for i in range(cfg.n_paths):
-            w = generate_brownian(grid, cfg.seed, i)
-            mp = gbm_path(cfg.params, w, "physical")
-            for k in range(grid.n_points):
-                dw = 0.0 if k == 0 else w.increments[k - 1]
-                writer.writerow(
-                    [i, k]
-                    + [format(float(x), ".17g") for x in (grid.times[k], mp.stock[k], mp.bond[k], dw)]
-                )
+        fh.write("path,index,t,S,beta,dW\n")
+        for start in range(0, cfg.n_paths, _PATH_BLOCK):
+            block = range(start, min(start + _PATH_BLOCK, cfg.n_paths))
+            _, stock, increments = gbm_batch(cfg.params, grid, 1, block, cfg.seed, "physical")
+            dw = np.zeros_like(stock)
+            dw[:, 1:] = increments
+            stock, dw = stock.ravel(), dw.ravel()
+            for r0 in range(0, stock.size, _ROW_CHUNK):
+                rows = np.arange(r0, min(r0 + _ROW_CHUNK, stock.size))
+                # Assigning into an object array yields Python ints and floats.
+                cells = np.empty((rows.size, 3), dtype=object)
+                cells[:, 0] = start + rows // n
+                cells[:, 1] = stock[rows]
+                cells[:, 2] = dw[rows]
+                template = "".join([templates[k] for k in (rows % n).tolist()])
+                fh.write(template % tuple(cells.ravel().tolist()))
 
 
 def run(command: str, cfg: ExperimentConfig, out_dir) -> int:
@@ -205,12 +230,14 @@ def run(command: str, cfg: ExperimentConfig, out_dir) -> int:
     results: list[ExperimentResult] = []
 
     if command == "simulate":
+        # Path 0 through the single-path API: its checks cover the bond
+        # column every path shares, and it is the ledger's market.
+        grid = uniform_grid(cfg.horizon, cfg.base_steps)
+        mp = gbm_path(cfg.params, generate_brownian(grid, cfg.seed, 0), "physical")
         paths_csv = out / "paths.csv"
-        _write_paths_csv(cfg, paths_csv)
+        _write_paths_csv(cfg, mp, paths_csv)
         outputs.append(paths_csv.name)
         if cfg.hedge is not None:
-            grid = uniform_grid(cfg.horizon, cfg.base_steps)
-            mp = gbm_path(cfg.params, generate_brownian(grid, cfg.seed, 0), "physical")
             schedule = delta_hedge(cfg.hedge, mp, cfg.params.sigma)
             ledger_csv = out / "ledger_path0.csv"
             write_ledger_csv(schedule, mp, ledger_csv)

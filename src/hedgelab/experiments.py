@@ -147,7 +147,7 @@ def _batch_market(
     so all levels of a refinement study share Brownian motion with the base
     resolution at the shared instants.
     """
-    grid, stock = gbm_batch(params, base_grid, factor, n_paths, seed, measure)
+    grid, stock, _ = gbm_batch(params, base_grid, factor, range(n_paths), seed, measure)
     bond = np.exp(params.r * grid.times)
     return BatchMarket(grid.times, stock, bond, params.r, params.sigma)
 

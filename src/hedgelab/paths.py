@@ -345,18 +345,19 @@ def refine(grid: TimeGrid, w: BrownianPath, factor: int) -> tuple[TimeGrid, Brow
 
 
 def gbm_batch(
-    params: GbmParams, grid: TimeGrid, factor: int, n_paths: int, seed: int, measure: str
-) -> tuple[TimeGrid, np.ndarray]:
-    """Stock values of paths 0..n_paths-1, refined by `factor`, in one pass.
+    params: GbmParams, grid: TimeGrid, factor: int, paths: range, seed: int, measure: str
+) -> tuple[TimeGrid, np.ndarray, np.ndarray]:
+    """Stock values of the path indices in `paths`, refined by `factor`, in one pass.
 
-    Row i is bit for bit the stock of
+    The row of path i is bit for bit the stock of
     gbm_path(params, refine(grid, generate_brownian(grid, seed, i), factor)[1], measure)
     (no refinement for factor 1), and the same checks apply. Returns the
-    (refined) grid and the (n_paths, n_points) stock array.
+    (refined) grid, the (len(paths), n_points) stock array and the
+    (len(paths), n_points - 1) Brownian increments that drive it.
     """
-    w = _brownian(grid, (int(seed), np.arange(int(n_paths))))
+    w = _brownian(grid, (int(seed), np.arange(paths.start, paths.stop, paths.step)))
     if int(factor) > 1:
         grid, w = refine(grid, w, int(factor))
     stock = _gbm_stock(params, w, measure)
     _require_positive(stock, "stock")
-    return grid, stock
+    return grid, stock, w.increments

@@ -1,7 +1,9 @@
 import contextlib
+import csv
 import io
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 from hedgelab import cli
 from hedgelab.cli import RunManifest, config_to_text, main, parse_config, run
-from hedgelab.paths import GbmParams
+from hedgelab.paths import GbmParams, gbm_path, generate_brownian, uniform_grid
 
 
 def test_parse_config_empty_document_resolves_defaults():
@@ -127,6 +129,66 @@ def test_run_simulate_writes_paths_and_ledger(tmp_path):
     assert (tmp_path / "ledger_path0.csv").exists()
 
 
+def per_path_paths_csv(cfg, dest):
+    """Reference: paths.csv built path by path, one csv row at a time."""
+    grid = uniform_grid(cfg.horizon, cfg.base_steps)
+    with open(dest, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["path", "index", "t", "S", "beta", "dW"])
+        for i in range(cfg.n_paths):
+            w = generate_brownian(grid, cfg.seed, i)
+            mp = gbm_path(cfg.params, w, "physical")
+            for k in range(grid.n_points):
+                dw = 0.0 if k == 0 else w.increments[k - 1]
+                writer.writerow(
+                    [i, k]
+                    + [format(float(x), ".17g") for x in (grid.times[k], mp.stock[k], mp.bond[k], dw)]
+                )
+
+
+_SIMULATE_CONFIGS = {
+    "one-path": "n_paths = 1\nbase_steps = 4\n",
+    "ragged-last-block": "n_paths = 30\nbase_steps = 5\n",
+    "one-step": "n_paths = 9\nbase_steps = 1\n",
+    "path-longer-than-a-chunk": f"n_paths = 2\nbase_steps = {cli._ROW_CHUNK + 3}\n",
+    "flat-market": "n_paths = 5\nbase_steps = 4\nsigma = 0\nmu = 0\nr = 0\n",
+    "wide-seed": f"n_paths = 5\nbase_steps = 4\nseed = {2**64 + 5}\n",
+    "negative-drift-and-rate": "n_paths = 5\nbase_steps = 4\nmu = -0.3\nr = -0.1\n",
+    "long-horizon": "n_paths = 5\nbase_steps = 4\nhorizon = 2.5\n",
+}
+
+
+@pytest.mark.parametrize("block", [1, 7, "n_paths", "default"])
+@pytest.mark.parametrize("config", _SIMULATE_CONFIGS.values(), ids=_SIMULATE_CONFIGS.keys())
+def test_simulate_paths_csv_is_the_per_path_stream_for_any_block(tmp_path, monkeypatch, config, block):
+    cfg = parse_config(config)
+    if block != "default":
+        size = cfg.n_paths if block == "n_paths" else block
+        monkeypatch.setattr(cli, "_PATH_BLOCK", size)
+        monkeypatch.setattr(cli, "_ROW_CHUNK", size)
+    assert run("simulate", cfg, tmp_path / "out") == 0
+    per_path_paths_csv(cfg, tmp_path / "reference.csv")
+    assert (tmp_path / "out" / "paths.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def test_simulate_memory_does_not_grow_with_n_paths(tmp_path):
+    steps = 8
+
+    def peak_bytes(n_paths):
+        cfg = parse_config(f"n_paths = {n_paths}\nbase_steps = {steps}\n")
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                run("simulate", cfg, tmp_path / str(n_paths))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # The arrays one block holds: stock, increments and the dW column.
+    block_bytes = 3 * cli._PATH_BLOCK * (steps + 1) * 8
+    assert abs(peak_bytes(5000) - peak_bytes(500)) < block_bytes
+
+
 def test_run_verify_sigma_zero_exits_clean(tmp_path):
     cfg = parse_config(SMALL + "sigma = 0\nmu = 0\nr = 0\ns0 = 120\n")
     assert run("verify", cfg, tmp_path) == 0
@@ -210,6 +272,17 @@ def test_main_domain_errors_exit_two_without_traceback(tmp_path, capsys, argv, c
     assert status == 2
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1 and "error:" in err
+
+
+def test_main_simulate_stock_underflow_exits_two_without_traceback(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("sigma = 40\nn_paths = 8\nbase_steps = 4\n")
+    status = main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert status == 2
+    assert "Traceback" not in err
+    (line,) = err.strip().splitlines()
+    assert line == "error: stock values must be positive and finite"
 
 
 def test_main_martingale_single_path_is_usage_error(tmp_path, capsys):

@@ -196,7 +196,7 @@ def test_gbm_batch_is_bitwise_the_per_path_reference(seed):
         for measure in ("physical", "risk_neutral"):
             for steps, n_paths in ((7, 5), (4, 1)):
                 grid = uniform_grid(1.0, steps)
-                fine_grid, stock = gbm_batch(params, grid, factor, n_paths, seed, measure)
+                fine_grid, stock, _ = gbm_batch(params, grid, factor, range(n_paths), seed, measure)
                 assert stock.shape == (n_paths, fine_grid.n_points)
                 for i in range(n_paths):
                     ref_grid, w = grid, generate_brownian(grid, seed, i)
@@ -206,10 +206,27 @@ def test_gbm_batch_is_bitwise_the_per_path_reference(seed):
                 assert np.array_equal(fine_grid.times, ref_grid.times)
 
 
+def test_gbm_batch_path_range_returns_each_paths_stock_and_increments():
+    params = GbmParams(100.0, 0.07, 0.3, 0.03)
+    grid = uniform_grid(1.0, 6)
+    paths = range(3, 9)
+    for factor in (1, 4):
+        for measure in ("physical", "risk_neutral"):
+            fine_grid, stock, increments = gbm_batch(params, grid, factor, paths, 11, measure)
+            assert stock.shape == (len(paths), fine_grid.n_points)
+            assert increments.shape == (len(paths), fine_grid.n_points - 1)
+            for row, i in enumerate(paths):
+                w = generate_brownian(grid, 11, i)
+                if factor > 1:
+                    w = refine(grid, w, factor)[1]
+                assert np.array_equal(increments[row], w.increments)
+                assert np.array_equal(stock[row], gbm_path(params, w, measure).stock)
+
+
 def test_gbm_batch_underflow_is_rejected_like_market_path():
     params = GbmParams(100.0, 0.05, 40.0, 0.05)
     grid = uniform_grid(1.0, 8)
     with pytest.raises(ValueError, match="stock values must be positive and finite"):
         gbm_path(params, generate_brownian(grid, 0), "physical")
     with pytest.raises(ValueError, match="stock values must be positive and finite"):
-        gbm_batch(params, grid, 1, 4, 0, "physical")
+        gbm_batch(params, grid, 1, range(4), 0, "physical")
