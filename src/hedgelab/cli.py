@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -36,7 +37,6 @@ import numpy as np
 from . import __version__
 from .experiments import (
     ExperimentConfig,
-    ExperimentResult,
     buy_and_hold_spec,
     cash_injection_spec,
     constant_mix_spec,
@@ -48,7 +48,7 @@ from .experiments import (
 )
 from .ledger import write_ledger_csv
 from .paths import GbmParams, MarketPath, gbm_batch, gbm_path, generate_brownian, uniform_grid
-from .strategies import EuropeanCall, delta_hedge
+from .strategies import delta_hedge
 
 COMMANDS = ("simulate", "verify", "hedge", "martingale")
 
@@ -63,8 +63,10 @@ def _parse_factors(value: str) -> tuple[int, ...]:
     return tuple(int(part.strip()) for part in value.split(","))
 
 
-# key -> parser. Defaults and constraints live in the config dataclasses
-# (ExperimentConfig, GbmParams, EuropeanCall).
+# key -> parser, in document order. The keys are exactly the fields of
+# ExperimentConfig, with GbmParams' four in place of params. Defaults and
+# constraints live in the config dataclasses (ExperimentConfig, GbmParams,
+# EuropeanCall).
 _CONFIG_KEYS = {
     "s0": float,
     "mu": float,
@@ -78,24 +80,12 @@ _CONFIG_KEYS = {
     "strike": float,
 }
 
-# EuropeanCall has no default; the CLI hedges an at-the-money call.
-_DEFAULT_STRIKE = 100.0
+_PARAMS_KEYS = tuple(f.name for f in dataclasses.fields(GbmParams))
 
 
 def _flat(cfg: ExperimentConfig) -> dict:
     """The config as the flat key -> value view of the document form."""
-    return {
-        "s0": cfg.params.s0,
-        "mu": cfg.params.mu,
-        "sigma": cfg.params.sigma,
-        "r": cfg.params.r,
-        "horizon": cfg.horizon,
-        "base_steps": cfg.base_steps,
-        "refinement_factors": cfg.refinement_factors,
-        "n_paths": cfg.n_paths,
-        "seed": cfg.seed,
-        "strike": _DEFAULT_STRIKE if cfg.hedge is None else cfg.hedge.strike,
-    }
+    return {key: getattr(cfg.params if key in _PARAMS_KEYS else cfg, key) for key in _CONFIG_KEYS}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -116,19 +106,8 @@ def parse_config(text: str) -> ExperimentConfig:
             resolved[key] = _CONFIG_KEYS[key](value)
         except ValueError:
             raise ValueError(f"invalid value for {key!r}: {value!r}") from None
-    cfg = ExperimentConfig(
-        params=GbmParams(
-            s0=resolved["s0"], mu=resolved["mu"], sigma=resolved["sigma"], r=resolved["r"]
-        ),
-        horizon=resolved["horizon"],
-        base_steps=resolved["base_steps"],
-        refinement_factors=resolved["refinement_factors"],
-        n_paths=resolved["n_paths"],
-        seed=resolved["seed"],
-    )
-    # The hedge expires at the horizon; built once the horizon has been
-    # validated, so a bad horizon is reported as such.
-    return dataclasses.replace(cfg, hedge=EuropeanCall(strike=resolved["strike"], expiry=cfg.horizon))
+    params = GbmParams(**{key: resolved.pop(key) for key in _PARAMS_KEYS})
+    return ExperimentConfig(params=params, **resolved)
 
 
 def config_to_text(cfg: ExperimentConfig) -> str:
@@ -147,7 +126,6 @@ def config_to_text(cfg: ExperimentConfig) -> str:
 class RunManifest:
     command: str
     version: str
-    seed: int
     config: ExperimentConfig
     outputs: tuple[str, ...]
 
@@ -155,7 +133,7 @@ class RunManifest:
         doc = {
             "command": self.command,
             "version": self.version,
-            "seed": self.seed,
+            "seed": self.config.seed,
             "config": config_to_text(self.config),
             "outputs": list(self.outputs),
         }
@@ -167,21 +145,18 @@ class RunManifest:
         return cls(
             command=doc["command"],
             version=doc["version"],
-            seed=int(doc["seed"]),
             config=parse_config(doc["config"]),
             outputs=tuple(doc["outputs"]),
         )
 
 
 def _default_martingale_roster(cfg: ExperimentConfig):
-    roster = [
+    return [
         buy_and_hold_spec(1.0, 0.0),
         constant_mix_spec(0.6, cfg.params.s0),
+        delta_hedge_spec(cfg.hedge),
+        cash_injection_spec(10.0),
     ]
-    if cfg.hedge is not None:
-        roster.append(delta_hedge_spec(cfg.hedge))
-    roster.append(cash_injection_spec(10.0))
-    return roster
 
 
 def _write_paths_csv(cfg: ExperimentConfig, path0: MarketPath, dest: Path) -> None:
@@ -216,55 +191,59 @@ def _write_paths_csv(cfg: ExperimentConfig, path0: MarketPath, dest: Path) -> No
                 fh.write(template % tuple(cells.ravel().tolist()))
 
 
+def _partial(out: Path, name: str) -> Path:
+    """Where output `name` is written until the whole run has succeeded."""
+    return out / f".{name}.partial"
+
+
 def run(command: str, cfg: ExperimentConfig, out_dir) -> int:
     """Execute one subcommand, writing CSVs and a manifest into out_dir.
 
-    Returns 0 iff every experiment verdict is a pass (simulate has no
-    verdicts and returns 0 on success).
+    Each output is written under a temporary name and renamed into place
+    only once every output is complete, manifest.json last, so a run that
+    fails leaves no output behind. Returns 0 iff every experiment verdict
+    is a pass (simulate has no verdicts and returns 0 on success).
     """
     if command not in COMMANDS:
         raise ValueError(f"unknown command {command!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    outputs: list[str] = []
-    results: list[ExperimentResult] = []
+    staged: list[str] = []
 
-    if command == "simulate":
-        # Path 0 through the single-path API: its checks cover the bond
-        # column every path shares, and it is the ledger's market.
-        grid = uniform_grid(cfg.horizon, cfg.base_steps)
-        mp = gbm_path(cfg.params, generate_brownian(grid, cfg.seed, 0), "physical")
-        paths_csv = out / "paths.csv"
-        _write_paths_csv(cfg, mp, paths_csv)
-        outputs.append(paths_csv.name)
-        if cfg.hedge is not None:
+    def stage(name: str) -> Path:
+        staged.append(name)
+        return _partial(out, name)
+
+    try:
+        if command == "simulate":
+            # Path 0 through the single-path API: its checks cover the bond
+            # column every path shares, and it is the ledger's market.
+            grid = uniform_grid(cfg.horizon, cfg.base_steps)
+            mp = gbm_path(cfg.params, generate_brownian(grid, cfg.seed, 0), "physical")
+            _write_paths_csv(cfg, mp, stage("paths.csv"))
             schedule = delta_hedge(cfg.hedge, mp, cfg.params.sigma)
-            ledger_csv = out / "ledger_path0.csv"
-            write_ledger_csv(schedule, mp, ledger_csv)
-            outputs.append(ledger_csv.name)
-        print(f"simulate: wrote {', '.join(outputs)} ({cfg.n_paths} paths)")
-    else:
-        if command == "verify":
-            result = defect_refinement_study(cfg)
-        elif command == "hedge":
-            result = hedging_convergence(cfg)
+            write_ledger_csv(schedule, mp, stage("ledger_path0.csv"))
+            verdict = "pass"
+            summary = f"simulate: wrote {', '.join(staged)} ({cfg.n_paths} paths)"
         else:
-            result = martingale_test(cfg, _default_martingale_roster(cfg))
-        results.append(result)
-        dest = out / f"{result.name}.csv"
-        write_result_csv(result, dest)
-        outputs.append(dest.name)
-        print(f"{result.name}: verdict={result.verdict} rows={len(result.rows)} -> {dest}")
-
-    manifest = RunManifest(
-        command=command,
-        version=__version__,
-        seed=cfg.seed,
-        config=cfg,
-        outputs=tuple(outputs),
-    )
-    (out / "manifest.json").write_text(manifest.to_json())
-    return 0 if all(r.verdict == "pass" for r in results) else 1
+            if command == "verify":
+                result = defect_refinement_study(cfg)
+            elif command == "hedge":
+                result = hedging_convergence(cfg)
+            else:
+                result = martingale_test(cfg, _default_martingale_roster(cfg))
+            write_result_csv(result, stage(f"{result.name}.csv"))
+            verdict = result.verdict
+            summary = f"{result.name}: verdict={verdict} rows={len(result.rows)} -> {out / staged[-1]}"
+        manifest = RunManifest(command=command, version=__version__, config=cfg, outputs=tuple(staged))
+        stage("manifest.json").write_text(manifest.to_json())
+        for name in staged:
+            os.replace(_partial(out, name), out / name)
+    finally:
+        for name in staged:
+            _partial(out, name).unlink(missing_ok=True)
+    print(summary)
+    return 0 if verdict == "pass" else 1
 
 
 def main(argv=None) -> int:

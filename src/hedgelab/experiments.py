@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .ledger import complete_bond, defect_series
 from .paths import GbmParams, TimeGrid, gbm_batch, uniform_grid
-from .strategies import EuropeanCall, constant_mix_holdings, delta_stock_holdings
+from .strategies import EuropeanCall, constant_mix_holdings, delta_stock_holdings, inject_cash
 
 # Unused here, but the traced benchmark run (perfbench/tracing.py) wraps
 # these names as attributes of this module and fails if one is missing.
@@ -34,7 +34,7 @@ from .accum import comp_cumsum  # noqa: F401
 from .paths import gbm_path, generate_brownian, refine  # noqa: F401
 from .strategies import bs_delta  # noqa: F401
 
-DEFAULT_TOLERANCES: Mapping[str, float] = {
+DEFAULT_TOLERANCES = {
     # Absolute defect budget: floating-point noise for currency values of
     # order 100 accumulated with compensation stays orders below this.
     "defect": 1e-9,
@@ -53,14 +53,19 @@ DEFAULT_TOLERANCES: Mapping[str, float] = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment run. The fields are exactly the keys of the config
+    document (cli.parse_config), with `params` holding s0, mu, sigma and r,
+    so a manifest records everything that determines the outputs. The hedge
+    target is derived: an at-`strike` call expiring at the horizon.
+    """
+
     params: GbmParams = GbmParams(s0=100.0, mu=0.05, sigma=0.2, r=0.05)
     horizon: float = 1.0
     base_steps: int = 64
     refinement_factors: tuple[int, ...] = (1, 4, 16)
     n_paths: int = 10_000
     seed: int = 42
-    hedge: EuropeanCall | None = None
-    tolerances: dict[str, float] = field(default_factory=dict)
+    strike: float = 100.0
 
     def __post_init__(self):
         if not (self.horizon > 0.0 and math.isfinite(self.horizon)):
@@ -76,11 +81,12 @@ class ExperimentConfig:
             raise ValueError("refinement_factors must be >= 1")
         if any(b <= a for a, b in zip(factors, factors[1:])):
             raise ValueError("refinement_factors must be strictly increasing")
-        unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
-        if unknown:
-            raise ValueError(f"unknown tolerance names: {sorted(unknown)}")
         object.__setattr__(self, "refinement_factors", factors)
-        object.__setattr__(self, "tolerances", {**DEFAULT_TOLERANCES, **self.tolerances})
+        self.hedge  # EuropeanCall validates the strike; the horizon is checked above
+
+    @property
+    def hedge(self) -> EuropeanCall:
+        return EuropeanCall(self.strike, self.horizon)
 
 
 @dataclass(frozen=True)
@@ -152,9 +158,9 @@ def _batch_market(
     return BatchMarket(grid.times, stock, bond, params.r, params.sigma)
 
 
-def _delta_hedge(mkt: BatchMarket, option: EuropeanCall, hedge_vol: float):
-    """Self-financing delta-hedge holdings (a, b) of every path."""
-    a, y0 = delta_stock_holdings(option, mkt.stock, mkt.times, mkt.rate, hedge_vol)
+def _delta_hedge(mkt: BatchMarket, option: EuropeanCall):
+    """Self-financing delta-hedge holdings (a, b) of every path, at the market's vol."""
+    a, y0 = delta_stock_holdings(option, mkt.stock, mkt.times, mkt.rate, mkt.sigma)
     return a, complete_bond(a, mkt.stock, mkt.bond, y0)
 
 
@@ -184,10 +190,9 @@ def constant_mix_spec(stock_weight: float, initial_wealth: float) -> StrategySpe
     return StrategySpec(f"constant_mix(w={stock_weight:g})", build)
 
 
-def delta_hedge_spec(option: EuropeanCall, hedge_vol: float | None = None) -> StrategySpec:
+def delta_hedge_spec(option: EuropeanCall) -> StrategySpec:
     def build(mkt: BatchMarket):
-        vol = mkt.sigma if hedge_vol is None else float(hedge_vol)
-        return _delta_hedge(mkt, option, vol)
+        return _delta_hedge(mkt, option)
 
     return StrategySpec(f"delta_hedge(K={option.strike:g})", build)
 
@@ -199,13 +204,8 @@ def cash_injection_spec(
 
     def build(mkt: BatchMarket):
         n = mkt.times.size
-        j = n // 2 if at_index is None else int(at_index)
-        if not 0 <= j < n:
-            raise ValueError("injection index out of range")
-        a = np.full(n, float(a0))
-        b = np.full(n, float(b0))
-        b[j:] += float(amount) / mkt.bond[j]
-        return a, b
+        j = n // 2 if at_index is None else at_index
+        return np.full(n, float(a0)), inject_cash(np.full(n, float(b0)), mkt.bond, amount, j)
 
     return StrategySpec(f"cash_injection(amount={amount:g})", build, control=True)
 
@@ -224,15 +224,13 @@ def defect_refinement_study(cfg: ExperimentConfig) -> ExperimentResult:
     with no rebalances (sigma = 0) leaves the control vacuous and it is
     reported as a pass.
     """
-    if cfg.hedge is None:
-        raise ValueError("defect refinement study requires a hedge target")
-    tol = cfg.tolerances["defect"]
-    control_bar = cfg.tolerances["control_factor"] * tol
+    tol = DEFAULT_TOLERANCES["defect"]
+    control_bar = DEFAULT_TOLERANCES["control_factor"] * tol
     base_grid = uniform_grid(cfg.horizon, cfg.base_steps)
     rows = []
     for factor in cfg.refinement_factors:
         mkt = _batch_market(cfg.params, base_grid, factor, cfg.n_paths, cfg.seed, "physical")
-        a, b = _delta_hedge(mkt, cfg.hedge, cfg.params.sigma)
+        a, b = _delta_hedge(mkt, cfg.hedge)
         n_steps = mkt.times.size - 1
 
         max_enforced = _max_abs_defect(a, b, mkt)
@@ -264,8 +262,8 @@ def martingale_test(cfg: ExperimentConfig, strategies: list[StrategySpec]) -> Ex
         raise ValueError("martingale test needs at least one strategy")
     if cfg.n_paths < 2:
         raise ValueError("martingale test needs n_paths >= 2 for a standard error")
-    mult = cfg.tolerances["stderr_mult"]
-    atol = cfg.tolerances["value_atol"]
+    mult = DEFAULT_TOLERANCES["stderr_mult"]
+    atol = DEFAULT_TOLERANCES["value_atol"]
     grid = uniform_grid(cfg.horizon, cfg.base_steps)
     mkt = _batch_market(cfg.params, grid, 1, cfg.n_paths, cfg.seed, "risk_neutral")
     n_paths = mkt.stock.shape[0]
@@ -296,20 +294,18 @@ def hedging_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     slope against [slope_min, slope_max]; exact replication at every level
     (deterministic markets) passes with a degenerate slope row.
     """
-    if cfg.hedge is None:
-        raise ValueError("hedging convergence requires a hedge target")
     if len(cfg.refinement_factors) < 3:
         raise ValueError("need at least 3 refinement levels to fit a slope")
-    atol = cfg.tolerances["value_atol"]
+    atol = DEFAULT_TOLERANCES["value_atol"]
     base_grid = uniform_grid(cfg.horizon, cfg.base_steps)
     rows = []
     counts = []
     rms_values = []
     for factor in cfg.refinement_factors:
         mkt = _batch_market(cfg.params, base_grid, factor, cfg.n_paths, cfg.seed, "physical")
-        a, b = _delta_hedge(mkt, cfg.hedge, cfg.params.sigma)
+        a, b = _delta_hedge(mkt, cfg.hedge)
         terminal = a[:, -1] * mkt.stock[:, -1] + b[:, -1] * mkt.bond[-1]
-        payoff = np.maximum(mkt.stock[:, -1] - cfg.hedge.strike, 0.0)
+        payoff = np.maximum(mkt.stock[:, -1] - cfg.strike, 0.0)
         err_sq = (terminal - payoff) ** 2
         rms = math.sqrt(float(np.mean(err_sq)))
         if rms > 0.0 and cfg.n_paths > 1:
@@ -325,7 +321,7 @@ def hedging_convergence(cfg: ExperimentConfig) -> ExperimentResult:
         rows.append(ResultRow("slope (exact replication)", 0.0, 0.0, "pass"))
     else:
         slope = _loglog_slope(counts, rms_values)
-        ok = cfg.tolerances["slope_min"] <= slope <= cfg.tolerances["slope_max"]
+        ok = DEFAULT_TOLERANCES["slope_min"] <= slope <= DEFAULT_TOLERANCES["slope_max"]
         rows.append(ResultRow("slope", slope, 0.0, "pass" if ok else "fail"))
     rows = tuple(rows)
     return ExperimentResult("hedging_convergence", rows, _verdict(rows))

@@ -83,6 +83,17 @@ def constant_mix_holdings(stock, bond, w: float, wealth0: float) -> tuple[np.nda
     return a, b
 
 
+def inject_cash(b, bond, amount: float, at_index: int) -> np.ndarray:
+    """Bond holdings b plus `amount` of external money (amount / beta_j bond
+    units) held from grid index j = at_index on."""
+    j = int(at_index)
+    if not 0 <= j < b.shape[-1]:
+        raise ValueError("injection index out of range")
+    b = np.array(b, dtype=float)
+    b[..., j:] += float(amount) / bond[j]
+    return b
+
+
 def constant_mix(path: MarketPath, stock_weight: float, initial_wealth: float) -> HoldingsSchedule:
     """Rebalance at every grid point to a fixed stock fraction of wealth.
 
@@ -170,12 +181,12 @@ def delta_stock_holdings(option: EuropeanCall, stock, times, rate: float, vol: f
     return a, y0
 
 
-def delta_hedge(option: EuropeanCall, path: MarketPath, hedge_vol: float) -> HoldingsSchedule:
+def delta_hedge(option: EuropeanCall, path: MarketPath, vol: float) -> HoldingsSchedule:
     """Delta-hedge the call along the path, bond account completed so the
     schedule is self-financing and starts at the Black-Scholes price
     (see `delta_stock_holdings`).
     """
-    a, y0 = delta_stock_holdings(option, path.stock, path.grid.times, path.rate, hedge_vol)
+    a, y0 = delta_stock_holdings(option, path.stock, path.grid.times, path.rate, vol)
 
     from .ledger import enforce_self_financing  # deferred: ledger imports this module
 
@@ -203,11 +214,7 @@ def broken_strategy(
         if path is None:
             raise ValueError("cash_injection needs the market path for the bond price")
         base.grid.require_same(path.grid)
-        if not 0 <= int(at_index) < base.grid.n_points:
-            raise ValueError("injection index out of range")
-        b = base.b.copy()
-        b[int(at_index):] += float(amount) / path.bond[int(at_index)]
-        return HoldingsSchedule(base.grid, base.a, b)
+        return HoldingsSchedule(base.grid, base.a, inject_cash(base.b, path.bond, amount, at_index))
     raise ValueError(f"unknown mode {mode!r}")
 
 

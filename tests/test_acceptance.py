@@ -118,7 +118,7 @@ def test_criterion_4_risk_neutral_equal_rate_of_return():
         base_steps=64,
         n_paths=100_000,
         seed=404,
-        hedge=EuropeanCall(100.0, 1.0),
+        strike=100.0,
     )
     start = time.perf_counter()
     res = martingale_test(
@@ -152,7 +152,7 @@ def test_criterion_5_hedging_error_scaling():
         refinement_factors=(1, 4, 16, 64),
         n_paths=10_000,
         seed=505,
-        hedge=EuropeanCall(100.0, 1.0),
+        strike=100.0,
     )
     start = time.perf_counter()
     res = hedging_convergence(cfg)

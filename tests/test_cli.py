@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import re
 import tempfile
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from hedgelab import cli
 from hedgelab.cli import RunManifest, config_to_text, main, parse_config, run
+from hedgelab.experiments import ExperimentConfig
 from hedgelab.paths import GbmParams, gbm_path, generate_brownian, uniform_grid
 
 
@@ -89,15 +91,33 @@ def test_main_config_error_names_the_key(tmp_path, capsys, flags, config, key):
     assert not out.exists()
 
 
-def test_config_text_round_trip():
-    cfg = parse_config("sigma = 0.31\nn_paths = 123\nrefinement_factors = 1,3,9\nstrike = 95\n")
+_ROUND_TRIP_DOC = "sigma = 0.31\nn_paths = 123\nrefinement_factors = 1,3,9\nstrike = 95\n"
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        parse_config(_ROUND_TRIP_DOC),
+        dataclasses.replace(parse_config(_ROUND_TRIP_DOC), horizon=2.0, strike=90.0),
+        ExperimentConfig(),
+    ],
+    ids=["parsed", "replaced-horizon-and-strike", "library-default"],
+)
+def test_config_text_round_trip(cfg):
     assert parse_config(config_to_text(cfg)) == cfg
+
+
+def test_config_fields_are_the_document_keys():
+    params_keys = [f.name for f in dataclasses.fields(GbmParams)]
+    names = [f.name for f in dataclasses.fields(ExperimentConfig)]
+    i = names.index("params")
+    assert names[:i] + params_keys + names[i + 1:] == list(cli._CONFIG_KEYS)
 
 
 def test_manifest_round_trip():
     cfg = parse_config("seed = 9\nsigma = 0.15\n")
     manifest = RunManifest(
-        command="verify", version="0.1.0", seed=cfg.seed, config=cfg, outputs=("a.csv",)
+        command="verify", version="0.1.0", config=cfg, outputs=("a.csv",)
     )
     parsed = RunManifest.from_json(manifest.to_json())
     assert parsed == manifest
@@ -283,6 +303,32 @@ def test_main_simulate_stock_underflow_exits_two_without_traceback(tmp_path, cap
     assert "Traceback" not in err
     (line,) = err.strip().splitlines()
     assert line == "error: stock values must be positive and finite"
+
+
+def test_main_failed_simulate_leaves_no_output(tmp_path, capsys):
+    # Path 0 is fine, so paths.csv is under way when a later path's stock
+    # underflows: nothing of the run may stay behind in --out.
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("sigma = 38\nbase_steps = 1\nn_paths = 1000\nseed = 1\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg_file), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: stock values must be positive and finite\n"
+    assert list(out.iterdir()) == []
+
+
+def test_run_replaces_earlier_outputs_only_on_success(tmp_path, monkeypatch):
+    cfg = parse_config(SMALL)
+    assert run("verify", cfg, tmp_path) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def fail(result, dest):
+        Path(dest).write_text("partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "write_result_csv", fail)
+    with pytest.raises(OSError, match="disk full"):
+        run("verify", dataclasses.replace(cfg, seed=6), tmp_path)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_main_martingale_single_path_is_usage_error(tmp_path, capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hedgelab.experiments import (
+    DEFAULT_TOLERANCES,
     ExperimentConfig,
     StrategySpec,
     _batch_market,
@@ -25,6 +26,8 @@ from hedgelab.paths import GbmParams, generate_brownian, gbm_path, refine, unifo
 from hedgelab.strategies import (
     EuropeanCall,
     HoldingsSchedule,
+    broken_strategy,
+    buy_and_hold,
     constant_mix,
     delta_hedge,
     delta_stock_holdings,
@@ -39,7 +42,7 @@ def small_cfg(**overrides):
         refinement_factors=(1, 2, 4),
         n_paths=200,
         seed=99,
-        hedge=EuropeanCall(100.0, 1.0),
+        strike=100.0,
     )
     base.update(overrides)
     return ExperimentConfig(**base)
@@ -52,11 +55,6 @@ def test_config_invariants():
         small_cfg(refinement_factors=(4, 2))
     with pytest.raises(ValueError):
         small_cfg(refinement_factors=(0, 2))
-    with pytest.raises(ValueError):
-        small_cfg(tolerances={"no_such_tolerance": 1.0})
-    cfg = small_cfg(tolerances={"defect": 1e-8})
-    assert cfg.tolerances["defect"] == 1e-8
-    assert cfg.tolerances["stderr_mult"] == 3.0
 
 
 def test_batch_kernels_match_single_path_ledger():
@@ -83,6 +81,12 @@ def test_batch_kernels_match_single_path_ledger():
         assert np.array_equal(rep.defect, defect[i])
         shared = self_financing_defect(HoldingsSchedule(grid, a_shared, b_shared), mp)
         assert np.array_equal(shared.defect, shared_defect[i])
+        # the same control through the single-path API, at the spec's default index
+        broken = broken_strategy(
+            buy_and_hold(grid, 0.5, 20.0), "cash_injection", amount=5.0, at_index=grid.n_points // 2, path=mp
+        )
+        assert np.array_equal(broken.a, a_shared)
+        assert np.array_equal(broken.b, b_shared)
         enforced = enforce_self_financing(SampledSeries(grid, ramp), mp, 100.0)
         assert np.array_equal(enforced.b, ramp_b[i])
 
@@ -120,15 +124,10 @@ def test_defect_refinement_study_passes_and_reports_levels():
     assert len(res.rows) == 2 * len(cfg.refinement_factors)
     enforced = [r for r in res.rows if "enforced" in r.param]
     frozen = [r for r in res.rows if "frozen_bond" in r.param]
-    assert all(r.statistic <= cfg.tolerances["defect"] for r in enforced)
-    assert all(r.statistic > 10 * cfg.tolerances["defect"] for r in frozen)
+    assert all(r.statistic <= DEFAULT_TOLERANCES["defect"] for r in enforced)
+    assert all(r.statistic > 10 * DEFAULT_TOLERANCES["defect"] for r in frozen)
     assert all(r.status == "expected-fail" for r in frozen)
     assert [r.param.split()[0] for r in enforced] == ["N=16", "N=32", "N=64"]
-
-
-def test_defect_refinement_study_requires_hedge():
-    with pytest.raises(ValueError):
-        defect_refinement_study(small_cfg(hedge=None))
 
 
 def test_defect_refinement_study_sigma_zero_is_degenerate_pass():
@@ -224,7 +223,7 @@ def test_martingale_property_for_random_enforced_schedules():
             ExperimentConfig(
                 params=cfg.params, horizon=cfg.horizon, base_steps=cfg.base_steps,
                 refinement_factors=cfg.refinement_factors, n_paths=cfg.n_paths,
-                seed=run, hedge=cfg.hedge,
+                seed=run, strike=cfg.strike,
             ),
             [spec],
         )
@@ -250,8 +249,18 @@ def test_hedging_convergence_slope_near_half():
 def test_hedging_convergence_validation():
     with pytest.raises(ValueError):
         hedging_convergence(small_cfg(refinement_factors=(1, 2)))
-    with pytest.raises(ValueError):
-        hedging_convergence(small_cfg(hedge=None))
+
+
+@pytest.mark.parametrize("study", [defect_refinement_study, hedging_convergence])
+def test_studies_hedge_to_a_replaced_horizon(study):
+    # the hedge is derived from strike and horizon, so it expires at the new horizon
+    cfg = dataclasses.replace(small_cfg(n_paths=32), horizon=2.0)
+    assert cfg.hedge == EuropeanCall(100.0, 2.0)
+    res = study(cfg)
+    levels = [r for r in res.rows if r.param.startswith("N=")]
+    assert {r.param.split()[0] for r in levels} == {"N=16", "N=32", "N=64"}
+    assert all(r.status != "fail" for r in levels)
+    assert res == study(small_cfg(n_paths=32, horizon=2.0))
 
 
 def test_hedging_convergence_sigma_zero_exact_replication():
@@ -321,8 +330,7 @@ def test_study_peak_memory_in_full_size_arrays(study, steps_per_path, bound):
     # bound is the study's measured peak (7.507, 6.528 and 10.133 arrays)
     # plus under 0.01, so one more full-size temporary at the peak fails.
     cfg = ExperimentConfig(
-        n_paths=400, base_steps=64, refinement_factors=(1, 4, 16), seed=3,
-        hedge=EuropeanCall(100.0, 1.0),
+        n_paths=400, base_steps=64, refinement_factors=(1, 4, 16), seed=3, strike=100.0,
     )
     peak = _peak_bytes(lambda: study(cfg)) / (cfg.n_paths * (steps_per_path + 1) * 8)
     assert peak <= bound, f"peak {peak:.2f} full-size arrays > {bound}"

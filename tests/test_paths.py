@@ -145,12 +145,10 @@ def test_bridge_conditional_variance():
     # conditional on a fixed step total, the first sub-increment of a split
     # unit step has variance dt_sub * (1 - dt_sub) = 0.25
     grid = TimeGrid(np.array([0.0, 1.0]))
-    total = np.array([0.5])
-    firsts = []
-    for i in range(100_000):
-        w = BrownianPath(grid, total, key=(77, i))
-        _, fine = refine(grid, w, 2)
-        firsts.append(fine.increments[0])
+    # one batch keyed by path index: row i draws what key (77, i) draws alone
+    w = BrownianPath(grid, np.full((100_000, 1), 0.5), key=(77, np.arange(100_000)))
+    _, fine = refine(grid, w, 2)
+    firsts = fine.increments[:, 0]
     var = float(np.var(firsts))
     assert abs(var - 0.25) < 0.02 * 0.25, f"bridge variance {var} not within 2% of 0.25"
     assert abs(np.mean(firsts) - 0.25) < 0.01
