@@ -8,86 +8,20 @@ self-financing.
 
 __version__ = "0.1.0"
 
-from .calculus import SampledSeries, SmoothFunction, ito_doblin_residual, ito_integral, quadratic_covariation
-from .experiments import (
-    ExperimentConfig,
-    ExperimentResult,
-    StrategySpec,
-    buy_and_hold_spec,
-    cash_injection_spec,
-    constant_mix_spec,
-    defect_refinement_study,
-    delta_hedge_spec,
-    hedging_convergence,
-    martingale_test,
-)
-from .ledger import (
-    LedgerReport,
-    enforce_self_financing,
-    gain_process,
-    ito_expansion_terms,
-    portfolio_value,
-    self_financing_defect,
-    write_ledger_csv,
-)
-from .paths import (
-    BrownianPath,
-    GbmParams,
-    MarketPath,
-    TimeGrid,
-    generate_brownian,
-    gbm_path,
-    refine,
-    uniform_grid,
-)
-from .strategies import (
-    EuropeanCall,
-    HoldingsSchedule,
-    broken_strategy,
-    bs_delta,
-    bs_price,
-    buy_and_hold,
-    constant_mix,
-    delta_hedge,
-)
+# The library example in the README; every other name is imported from its
+# own module (hedgelab.paths, hedgelab.ledger, ...).
+from .ledger import ito_expansion_terms, self_financing_defect
+from .paths import GbmParams, gbm_path, generate_brownian, uniform_grid
+from .strategies import EuropeanCall, broken_strategy, delta_hedge
 
 __all__ = [
-    "BrownianPath",
     "EuropeanCall",
-    "ExperimentConfig",
-    "ExperimentResult",
     "GbmParams",
-    "HoldingsSchedule",
-    "LedgerReport",
-    "MarketPath",
-    "SampledSeries",
-    "SmoothFunction",
-    "StrategySpec",
-    "TimeGrid",
     "broken_strategy",
-    "bs_delta",
-    "bs_price",
-    "buy_and_hold",
-    "buy_and_hold_spec",
-    "cash_injection_spec",
-    "constant_mix",
-    "constant_mix_spec",
-    "defect_refinement_study",
     "delta_hedge",
-    "delta_hedge_spec",
-    "enforce_self_financing",
-    "gain_process",
     "gbm_path",
     "generate_brownian",
-    "hedging_convergence",
-    "ito_doblin_residual",
     "ito_expansion_terms",
-    "ito_integral",
-    "martingale_test",
-    "portfolio_value",
-    "quadratic_covariation",
-    "refine",
     "self_financing_defect",
     "uniform_grid",
-    "write_ledger_csv",
 ]

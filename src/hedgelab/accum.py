@@ -5,7 +5,8 @@ O(sqrt(N)) ulps under naive accumulation; the running compensation here
 keeps every prefix sum accurate to ~1 ulp of the true value, which is what
 lets exact accounting identities be asserted at 1e-9 absolute tolerance.
 
-Neumaier's recurrence (ZAMM 1974) starts from s = c = 0.0 and, per term x_k,
+Neumaier's recurrence (ZAMM 1974) starts from s_0 = c_0 = 0.0 and, per term
+x_k (k = 1..n),
 
     s_k = s_{k-1} + x_k
     e_k = (s_{k-1} - s_k) + x_k   if |s_{k-1}| >= |x_k|
@@ -13,18 +14,24 @@ Neumaier's recurrence (ZAMM 1974) starts from s = c = 0.0 and, per term x_k,
     c_k = c_{k-1} + e_k
     out_k = s_k + c_k
 
+The result is the whole series out_0..out_n, one entry more than the
+terms: out_0 = s_0 + c_0 = 0.0, so a cumulative series that is 0 at grid
+index 0 (gain, log-price, expansion terms, integrals) is the result itself.
+
 The error term e_k depends only on s_{k-1}, s_k and x_k, so the loop is two
 plain running sums with an elementwise step between them: s is the running
-sum of [0.0, x_0, x_1, ...], e is computed from neighbouring entries of s,
-and c is the running sum of [0.0, e_0, e_1, ...]. `np.add.accumulate` adds
+sum of [0.0, x_1, x_2, ...], e is computed from neighbouring entries of s,
+and c is the running sum of [0.0, e_1, e_2, ...]. `np.add.accumulate` adds
 strictly left to right, one term at a time, and the prepended 0.0 makes its
-first addition the loop's `0.0 + x_0` (signed zeros included), so every
+first addition the loop's `0.0 + x_1` (signed zeros included), so every
 element goes through the loop's exact IEEE-754 operation sequence and the
 result is bit-identical to it. `np.sum`/`np.add.reduce` would not do: they
 sum pairwise.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -34,17 +41,19 @@ BLOCK_ELEMENTS = 1 << 15
 
 
 def comp_cumsum(terms, axis: int = -1) -> np.ndarray:
-    """Running compensated sums: out[..., k] = sum(terms[..., :k+1]).
+    """Running compensated sums from zero: out[..., k] = sum(terms[..., :k]).
 
     Accepts any array-like of rank >= 1; the accumulation runs along `axis`
     and is vectorized over the remaining axes. The result is a new float64
-    array, bit-identical to running Neumaier's scalar loop on each line.
+    array with one more entry than `terms` along `axis`: out_0 = s_0 + c_0 =
+    0.0, then the series bit-identical to running Neumaier's scalar loop on
+    each line.
     """
     arr = np.asarray(terms, dtype=float).swapaxes(axis, -1)
-    n = arr.shape[-1]
-    m = arr.size // max(n, 1)  # lines to accumulate
+    *lines, n = arr.shape
+    m = math.prod(lines)  # lines to accumulate
     rows = arr.reshape(m, n)
-    out = np.empty((m, n))
+    out = np.empty((m, n + 1))
     b = max(1, min(BLOCK_ELEMENTS // (n + 1) + 1, m))  # rows per block
     s = np.zeros((b, n + 1))
     c = np.zeros((b, n + 1))
@@ -58,7 +67,7 @@ def comp_cumsum(terms, axis: int = -1) -> np.ndarray:
             # with the same bits.
             lo = min(lo, m - b)
             x = rows[lo : lo + b]
-            d = out[lo : lo + b]  # working space until the block's result lands
+            d = out[lo : lo + b, 1:]  # working space until the block's result lands
             cur[...] = x
             np.add.accumulate(s, axis=1, out=s)
             big = np.abs(prev, out=d) >= np.abs(x, out=e)
@@ -66,7 +75,7 @@ def comp_cumsum(terms, axis: int = -1) -> np.ndarray:
             d += x  # (s_prev - s) + x
             np.subtract(x, cur, out=e)
             e += prev  # (x - s) + s_prev
-            np.putmask(e, big, d)
+            np.copyto(e, d, where=big)  # np.putmask would first copy the strided d
             np.add.accumulate(c, axis=1, out=c)
-            np.add(cur, e, out=d)
-    return out.reshape(arr.shape).swapaxes(axis, -1)
+            np.add(s, c, out=out[lo : lo + b])
+    return out.reshape(*lines, n + 1).swapaxes(axis, -1)

@@ -57,20 +57,14 @@ def ito_integral(integrand: SampledSeries, integrator: SampledSeries) -> Sampled
     """
     integrand.grid.require_same(integrator.grid)
     terms = integrand.values[:-1] * np.diff(integrator.values)
-    out = np.empty(integrand.grid.n_points)
-    out[0] = 0.0
-    out[1:] = comp_cumsum(terms)
-    return SampledSeries(integrand.grid, out)
+    return SampledSeries(integrand.grid, comp_cumsum(terms))
 
 
 def quadratic_covariation(x: SampledSeries, y: SampledSeries) -> SampledSeries:
     """Cumulative sum of increment products, C_{k+1} = C_k + dx_k * dy_k."""
     x.grid.require_same(y.grid)
     terms = np.diff(x.values) * np.diff(y.values)
-    out = np.empty(x.grid.n_points)
-    out[0] = 0.0
-    out[1:] = comp_cumsum(terms)
-    return SampledSeries(x.grid, out)
+    return SampledSeries(x.grid, comp_cumsum(terms))
 
 
 def ito_doblin_residual(f: SmoothFunction, path: MarketPath) -> float:

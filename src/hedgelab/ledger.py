@@ -78,10 +78,7 @@ class LedgerReport:
 def gain_series(a, b, stock, bond) -> np.ndarray:
     """G_0 = 0, G_{k+1} = G_k + a_k * dS_k + b_k * dbeta_k, along the last axis."""
     terms = a[..., :-1] * np.diff(stock, axis=-1) + b[..., :-1] * np.diff(bond)
-    out = np.empty((*terms.shape[:-1], terms.shape[-1] + 1))
-    out[..., 0] = 0.0
-    out[..., 1:] = comp_cumsum(terms, axis=-1)
-    return out
+    return comp_cumsum(terms, axis=-1)
 
 
 def defect_series(a, b, stock, bond) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -99,9 +96,10 @@ def complete_bond(a, stock, bond, y0: float) -> np.ndarray:
     b_{k+1} = b_k + (a_k - a_{k+1}) * S_{k+1} / beta_{k+1}.
     """
     transfers = (a[..., :-1] - a[..., 1:]) * stock[..., 1:] / bond[1:]
-    b = np.empty((*transfers.shape[:-1], transfers.shape[-1] + 1))
-    b[..., 0] = (float(y0) - a[..., 0] * stock[..., 0]) / bond[0]
-    b[..., 1:] = b[..., :1] + comp_cumsum(transfers, axis=-1)
+    b0 = (float(y0) - a[..., 0] * stock[..., 0]) / bond[0]
+    b = comp_cumsum(transfers, axis=-1)
+    b += b0[..., None]  # bitwise b0 + sum: IEEE + commutes
+    b[..., 0] = b0  # 0.0 + b0 would turn a -0.0 start into +0.0
     return b
 
 
@@ -153,13 +151,7 @@ def ito_expansion_terms(
     without being individually zero.
     """
     h.grid.require_same(m.grid)
-    out = []
-    for terms in _step_terms(h, m):
-        series = np.empty(h.grid.n_points)
-        series[0] = 0.0
-        series[1:] = comp_cumsum(terms)
-        out.append(SampledSeries(h.grid, series))
-    return tuple(out)
+    return tuple(SampledSeries(h.grid, comp_cumsum(terms)) for terms in _step_terms(h, m))
 
 
 def enforce_self_financing(a: SampledSeries, m: MarketPath, y0: float) -> HoldingsSchedule:

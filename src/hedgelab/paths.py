@@ -283,8 +283,7 @@ def _gbm_stock(params: GbmParams, w: BrownianPath, measure: str) -> np.ndarray:
     else:
         raise ValueError(f"measure must be 'physical' or 'risk_neutral', got {measure!r}")
     t = w.grid.times
-    x = np.zeros((*w.increments.shape[:-1], t.size))
-    x[..., 1:] = comp_cumsum(w.increments, axis=-1)
+    x = comp_cumsum(w.increments, axis=-1)
     # In place, with each product and sum's operands swapped: IEEE + and *
     # commute, so this is bitwise the textbook formula.
     x *= params.sigma
@@ -329,6 +328,7 @@ def refine(grid: TimeGrid, w: BrownianPath, factor: int) -> tuple[TimeGrid, Brow
     instants. Original knots are kept bitwise in the new grid. A batch `w`
     is refined path by path, each with its own bridge stream.
     """
+    grid.require_same(w.grid)
     m = int(factor)
     if m < 2:
         raise ValueError("refinement factor must be >= 2")

@@ -17,7 +17,7 @@ def mixed_terms(shape, seed=0):
 def rowwise(terms, axis):
     """Reference: the 1-D branch applied to every line along `axis`."""
     moved = np.moveaxis(terms, axis, -1)
-    out = np.empty_like(moved)
+    out = np.empty((*moved.shape[:-1], moved.shape[-1] + 1))
     for idx in np.ndindex(moved.shape[:-1]):
         out[idx] = comp_cumsum(moved[idx])
     return np.moveaxis(out, -1, axis)
@@ -36,7 +36,9 @@ def test_nd_matches_1d_branch_bitwise_on_3d(axis):
     terms = mixed_terms((5, 6, 7), seed=1)
     before = terms.copy()
     got = comp_cumsum(terms, axis=axis)
-    assert got.shape == terms.shape
+    want_shape = list(terms.shape)
+    want_shape[axis] += 1
+    assert got.shape == tuple(want_shape)
     assert np.array_equal(got, rowwise(terms, axis))
     assert np.array_equal(terms, before)
 
@@ -45,9 +47,10 @@ def test_nd_matches_1d_branch_bitwise_on_3d(axis):
 def test_nd_short_accumulation_axis(length):
     terms = mixed_terms((4, length), seed=2)
     got = comp_cumsum(terms, axis=-1)
-    assert got.shape == (4, length)
+    assert got.shape == (4, length + 1)
     assert np.array_equal(got, rowwise(terms, -1))
-    assert np.array_equal(got, terms)  # a single term is its own prefix sum
+    assert np.array_equal(got[:, 0], np.zeros(4))
+    assert np.array_equal(got[:, 1:], terms)  # a single term is its own prefix sum
 
 
 def test_compensation_recovers_cancelled_terms():
@@ -60,10 +63,11 @@ def test_compensation_recovers_cancelled_terms():
 def neumaier_loop(terms):
     """Reference: Neumaier's scalar loop, one Python step per element."""
     arr = np.asarray(terms, dtype=float)
-    out = np.empty_like(arr)
+    out = np.empty(arr.size + 1)
     s = 0.0
     c = 0.0
-    for k, x in enumerate(arr.tolist()):
+    out[0] = s + c
+    for k, x in enumerate(arr.tolist(), start=1):
         t = s + x
         if abs(s) >= abs(x):
             c += (s - t) + x
@@ -149,4 +153,5 @@ def test_accepts_any_array_like_and_leaves_it_untouched():
     ints = np.arange(-20, 20).reshape(4, 10)
     got = comp_cumsum(ints)
     assert got.dtype == np.float64 and got.flags.writeable
-    assert_same_bits(got, np.cumsum(ints, axis=-1).astype(float))
+    want = np.concatenate([np.zeros((4, 1)), np.cumsum(ints, axis=-1)], axis=-1)
+    assert_same_bits(got, want)

@@ -319,15 +319,15 @@ def _peak_bytes(fn) -> int:
 @pytest.mark.parametrize(
     "study, steps_per_path, bound",
     [
-        (defect_refinement_study, 64 * 16, 7.52),
-        (hedging_convergence, 64 * 16, 6.54),
-        (lambda cfg: martingale_test(cfg, _default_martingale_roster(cfg)), 64, 10.14),
+        (defect_refinement_study, 64 * 16, 6.495),
+        (hedging_convergence, 64 * 16, 4.75),
+        (lambda cfg: martingale_test(cfg, _default_martingale_roster(cfg)), 64, 9.135),
     ],
     ids=["defect_refinement_study", "hedging_convergence", "martingale_test"],
 )
 def test_study_peak_memory_in_full_size_arrays(study, steps_per_path, bound):
     # Unit: one n_paths x n_points float64 array at the finest grid. Each
-    # bound is the study's measured peak (7.507, 6.528 and 10.133 arrays)
+    # bound is the study's measured peak (6.488, 4.742 and 9.130 arrays)
     # plus under 0.01, so one more full-size temporary at the peak fails.
     cfg = ExperimentConfig(
         n_paths=400, base_steps=64, refinement_factors=(1, 4, 16), seed=3, strike=100.0,

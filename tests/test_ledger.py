@@ -97,6 +97,10 @@ def test_enforce_self_financing_edge_cases():
     fully_invested = enforce_self_financing(SampledSeries(mp.grid, np.full(n, 2.0)), mp, 2.0 * mp.stock[0])
     assert fully_invested.b[0] == 0.0
 
+    # a -0.0 starting bond keeps its sign
+    flat = enforce_self_financing(SampledSeries(mp.grid, np.zeros(n)), mp, -0.0)
+    assert np.signbit(flat.b[0])
+
     # two-point grid: one interval, no rebalance, trivially zero defect
     tiny = make_market(steps=1)
     h = enforce_self_financing(SampledSeries(tiny.grid, np.array([3.0, 3.0])), tiny, 100.0)

@@ -113,6 +113,12 @@ def test_refine_requires_factor_two():
         refine(grid, w, 1)
 
 
+def test_refine_requires_the_paths_grid():
+    w = generate_brownian(uniform_grid(1.0, 8), 1, 0)
+    with pytest.raises(ValueError, match="operands live on different time grids"):
+        refine(uniform_grid(4.0, 8), w, 4)
+
+
 def test_refine_keeps_original_knots_and_totals():
     grid = uniform_grid(1.0, 8)
     w = generate_brownian(grid, seed=3)
