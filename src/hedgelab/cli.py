@@ -10,7 +10,7 @@ has a documented default so an empty document is a complete configuration:
     horizon = 1.0       years (> 0)
     base_steps = 64     intervals on the base grid (>= 1)
     refinement_factors = 1,4,16   strictly increasing integers >= 1
-    n_paths = 10000     Monte Carlo paths (>= 1)
+    n_paths = 10000     Monte Carlo paths (1 to 2**32)
     seed = 42           base RNG seed (>= 0)
     strike = 100        hedge-target call strike (> 0); expiry = horizon
 
@@ -18,9 +18,11 @@ Subcommands: simulate (path + ledger CSVs), verify (defect refinement
 study), hedge (hedging-error convergence), martingale (equal rate of
 return test). simulate generates its paths in fixed blocks with the batch
 engine (paths.gbm_batch) and writes paths.csv byte-identically to the
-per-path stream, in memory that does not grow with n_paths. Each run writes its CSVs plus a manifest.json into --out and
-exits 0 iff every experiment verdict passes; negative controls that
-violate as expected are marked expected-fail and do not fail the run.
+per-path stream, in memory that does not grow with n_paths; the studies
+stream their paths in blocks too (see experiments). Each run writes its
+CSVs plus a manifest.json into --out and exits 0 iff every experiment
+verdict passes; negative controls that violate as expected are marked
+expected-fail and do not fail the run.
 """
 
 from __future__ import annotations

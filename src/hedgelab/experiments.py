@@ -4,21 +4,25 @@ equal-rate-of-return (martingale) test, and hedging-error convergence.
 Paths are independent work units indexed by path number; every statistic
 is reduced in path-index order with deterministic numpy kernels, so a
 given ExperimentConfig always reproduces the same result rows bit for bit
-no matter how the work is scheduled. All paths of a study are simulated
-in one batched pass (paths.gbm_batch), which reproduces the per-path
-default_rng([seed, i]) streams, and so the single-path API's stock values,
-bit for bit.
+no matter how the work is scheduled. Each study simulates its paths in
+fixed blocks of consecutive path indices (paths.gbm_batch, which
+reproduces the per-path default_rng([seed, i]) streams, and so the
+single-path API's stock values, bit for bit) and keeps only per-path
+scalars between blocks. It reduces those once, over all n_paths, so no
+output depends on the block size, and memory is one block plus the
+per-path scalars whatever n_paths is.
 
 The studies run the path-axis kernels of the ledger and strategies modules
 (complete_bond, defect_series, constant_mix_holdings, delta_stock_holdings)
-on the whole (n_paths, n_points) stock array; the single-path API runs the
-same kernels on one path.
+on each block's (paths, n_points) stock array; the single-path API runs
+the same kernels on one path.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -50,6 +54,18 @@ DEFAULT_TOLERANCES = {
     "slope_max": -0.35,
 }
 
+# Float64 elements per (paths, n_points) array of a study block: a block
+# holds max(1, BUDGET // n_points) consecutive paths. No output depends on
+# it; it bounds the studies' memory whatever n_paths is.
+BUDGET = 2**18
+
+
+def _integer(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -70,13 +86,17 @@ class ExperimentConfig:
     def __post_init__(self):
         if not (self.horizon > 0.0 and math.isfinite(self.horizon)):
             raise ValueError("horizon must be > 0")
-        if int(self.base_steps) < 1:
+        for name in ("base_steps", "n_paths", "seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        if self.base_steps < 1:
             raise ValueError("base_steps must be >= 1")
-        if int(self.n_paths) < 1:
+        if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
-        if int(self.seed) < 0:
+        if self.n_paths > 2**32:
+            raise ValueError("n_paths must be <= 2**32 (path indices are uint32 stream keys)")
+        if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        factors = tuple(int(f) for f in self.refinement_factors)
+        factors = tuple(_integer("refinement_factors", f) for f in self.refinement_factors)
         if not factors or any(f < 1 for f in factors):
             raise ValueError("refinement_factors must be >= 1")
         if any(b <= a for a, b in zip(factors, factors[1:])):
@@ -115,7 +135,7 @@ def _verdict(rows) -> str:
 
 @dataclass(frozen=True, eq=False)
 class BatchMarket:
-    """Stacked market paths: stock is (n_paths, n_points), bond is shared."""
+    """Stacked market paths: stock is (paths, n_points), bond is shared."""
 
     times: np.ndarray
     stock: np.ndarray
@@ -129,7 +149,8 @@ class StrategySpec:
     """A named holdings builder for the martingale test.
 
     `build` maps a BatchMarket to (a, b) holdings arrays, each either
-    (n_points,) shared across paths or (n_paths, n_points). Controls are
+    (n_points,) shared across paths or (paths, n_points), for the paths of
+    the market it is given: one block of a study. Controls are
     expected to violate the martingale band and are reported as
     expected-fail when they do.
     """
@@ -143,19 +164,27 @@ def _batch_market(
     params: GbmParams,
     base_grid: TimeGrid,
     factor: int,
-    n_paths: int,
+    paths: range,
     seed: int,
     measure: str,
 ) -> BatchMarket:
-    """Simulate n_paths market paths, refining the base grid by `factor`.
+    """Simulate the market paths of the indices in `paths`, refining the
+    base grid by `factor`.
 
     Path i uses the counter (seed, i); refinement keys extend the counter,
     so all levels of a refinement study share Brownian motion with the base
     resolution at the shared instants.
     """
-    grid, stock, _ = gbm_batch(params, base_grid, factor, range(n_paths), seed, measure)
+    grid, stock, _ = gbm_batch(params, base_grid, factor, paths, seed, measure)
     bond = np.exp(params.r * grid.times)
     return BatchMarket(grid.times, stock, bond, params.r, params.sigma)
+
+
+def _blocks(n_paths: int, n_points: int):
+    """Consecutive path-index ranges covering n_paths, BUDGET elements a block."""
+    size = max(1, BUDGET // n_points)
+    for start in range(0, n_paths, size):
+        yield range(start, min(start + size, n_paths))
 
 
 def _delta_hedge(mkt: BatchMarket, option: EuropeanCall):
@@ -164,10 +193,47 @@ def _delta_hedge(mkt: BatchMarket, option: EuropeanCall):
     return a, complete_bond(a, mkt.stock, mkt.bond, y0)
 
 
-def _max_abs_defect(a: np.ndarray, b: np.ndarray, mkt: BatchMarket) -> float:
+def _max_abs_defect(a: np.ndarray, b: np.ndarray, mkt: BatchMarket) -> np.ndarray:
+    """max |D| of each path."""
     # Indexing drops the value and gain series before np.abs allocates.
     defect = defect_series(a, b, mkt.stock, mkt.bond)[2]
-    return float(np.max(np.abs(defect)))
+    return np.max(np.abs(defect), axis=-1)
+
+
+# The per-block helpers below return only per-path scalars, so every
+# block-sized array they build dies on return, before the next block's.
+
+
+def _block_defects(cfg: ExperimentConfig, base_grid: TimeGrid, factor: int, block: range):
+    """Each path's max |D| for the enforced delta hedge and for its
+    frozen-bond control, and whether any path of the block rebalances.
+    """
+    mkt = _batch_market(cfg.params, base_grid, factor, block, cfg.seed, "physical")
+    a, b = _delta_hedge(mkt, cfg.hedge)
+    enforced = _max_abs_defect(a, b, mkt)
+    frozen = _max_abs_defect(a, np.broadcast_to(b[:, :1], b.shape), mkt)
+    return enforced, frozen, bool(np.any(np.diff(a, axis=-1) != 0.0))
+
+
+def _block_hedge_errors(cfg: ExperimentConfig, base_grid: TimeGrid, factor: int, block: range):
+    """Each path's squared terminal error of the delta hedge against the payoff."""
+    mkt = _batch_market(cfg.params, base_grid, factor, block, cfg.seed, "physical")
+    a, b = _delta_hedge(mkt, cfg.hedge)
+    terminal = a[:, -1] * mkt.stock[:, -1] + b[:, -1] * mkt.bond[-1]
+    payoff = np.maximum(mkt.stock[:, -1] - cfg.strike, 0.0)
+    return (terminal - payoff) ** 2
+
+
+def _discounted_terminal(spec: StrategySpec, mkt: BatchMarket) -> tuple[float, np.ndarray]:
+    """Y_0 of the market's first path and Y_T / beta_T of each path. The
+    holdings die on return, so one strategy's are gone before the next
+    strategy's are built.
+    """
+    a, b = spec.build(mkt)
+    a2 = np.broadcast_to(a, mkt.stock.shape)
+    b2 = np.broadcast_to(b, mkt.stock.shape)
+    y0 = float(a2[0, 0] * mkt.stock[0, 0] + b2[0, 0] * mkt.bond[0])
+    return y0, (a2[:, -1] * mkt.stock[:, -1] + b2[:, -1] * mkt.bond[-1]) / mkt.bond[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -229,17 +295,20 @@ def defect_refinement_study(cfg: ExperimentConfig) -> ExperimentResult:
     base_grid = uniform_grid(cfg.horizon, cfg.base_steps)
     rows = []
     for factor in cfg.refinement_factors:
-        mkt = _batch_market(cfg.params, base_grid, factor, cfg.n_paths, cfg.seed, "physical")
-        a, b = _delta_hedge(mkt, cfg.hedge)
-        n_steps = mkt.times.size - 1
+        n_steps = cfg.base_steps * factor
+        enforced = np.empty(cfg.n_paths)
+        frozen = np.empty(cfg.n_paths)
+        rebalances = False
+        for block in _blocks(cfg.n_paths, n_steps + 1):
+            at = slice(block.start, block.stop)
+            enforced[at], frozen[at], moved = _block_defects(cfg, base_grid, factor, block)
+            rebalances |= moved
 
-        max_enforced = _max_abs_defect(a, b, mkt)
+        max_enforced = float(np.max(enforced))
         status = "pass" if max_enforced <= tol else "fail"
         rows.append(ResultRow(f"N={n_steps} enforced", max_enforced, 0.0, status))
 
-        frozen_b = np.broadcast_to(b[:, :1], b.shape)
-        max_frozen = _max_abs_defect(a, frozen_b, mkt)
-        rebalances = bool(np.any(np.diff(a, axis=-1) != 0.0))
+        max_frozen = float(np.max(frozen))
         if not rebalances:
             status = "pass"  # nothing to break: control is vacuous
         elif max_frozen > control_bar:
@@ -265,17 +334,18 @@ def martingale_test(cfg: ExperimentConfig, strategies: list[StrategySpec]) -> Ex
     mult = DEFAULT_TOLERANCES["stderr_mult"]
     atol = DEFAULT_TOLERANCES["value_atol"]
     grid = uniform_grid(cfg.horizon, cfg.base_steps)
-    mkt = _batch_market(cfg.params, grid, 1, cfg.n_paths, cfg.seed, "risk_neutral")
-    n_paths = mkt.stock.shape[0]
+    y0s = [0.0] * len(strategies)
+    discounted = np.empty((len(strategies), cfg.n_paths))
+    for block in _blocks(cfg.n_paths, grid.n_points):
+        mkt = _batch_market(cfg.params, grid, 1, block, cfg.seed, "risk_neutral")
+        for j, spec in enumerate(strategies):
+            y0, discounted[j, block.start : block.stop] = _discounted_terminal(spec, mkt)
+            if block.start == 0:
+                y0s[j] = y0  # Y_0 is path 0's
     rows = []
-    for spec in strategies:
-        a, b = spec.build(mkt)
-        a2 = np.broadcast_to(a, mkt.stock.shape)
-        b2 = np.broadcast_to(b, mkt.stock.shape)
-        y0 = float(a2[0, 0] * mkt.stock[0, 0] + b2[0, 0] * mkt.bond[0])
-        discounted = (a2[:, -1] * mkt.stock[:, -1] + b2[:, -1] * mkt.bond[-1]) / mkt.bond[-1]
-        estimate = float(np.mean(discounted))
-        stderr = float(np.std(discounted, ddof=1) / math.sqrt(n_paths))
+    for spec, y0, values in zip(strategies, y0s, discounted):
+        estimate = float(np.mean(values))
+        stderr = float(np.std(values, ddof=1) / math.sqrt(cfg.n_paths))
         inside = abs(estimate - y0) <= mult * stderr + atol
         if spec.control:
             status = "fail" if inside else "expected-fail"
@@ -302,17 +372,15 @@ def hedging_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     counts = []
     rms_values = []
     for factor in cfg.refinement_factors:
-        mkt = _batch_market(cfg.params, base_grid, factor, cfg.n_paths, cfg.seed, "physical")
-        a, b = _delta_hedge(mkt, cfg.hedge)
-        terminal = a[:, -1] * mkt.stock[:, -1] + b[:, -1] * mkt.bond[-1]
-        payoff = np.maximum(mkt.stock[:, -1] - cfg.strike, 0.0)
-        err_sq = (terminal - payoff) ** 2
+        n_steps = cfg.base_steps * factor
+        err_sq = np.empty(cfg.n_paths)
+        for block in _blocks(cfg.n_paths, n_steps + 1):
+            err_sq[block.start : block.stop] = _block_hedge_errors(cfg, base_grid, factor, block)
         rms = math.sqrt(float(np.mean(err_sq)))
         if rms > 0.0 and cfg.n_paths > 1:
             stderr = float(np.std(err_sq, ddof=1)) / (2.0 * rms * math.sqrt(cfg.n_paths))
         else:
             stderr = 0.0
-        n_steps = mkt.times.size - 1
         counts.append(n_steps)
         rms_values.append(rms)
         rows.append(ResultRow(f"N={n_steps}", rms, stderr, "pass"))

@@ -74,8 +74,10 @@ _OUT_OF_RANGE = [
 @pytest.mark.parametrize(
     "flags, config, key",
     [([], f"{key} = {value}\n", key) for key, value in _OUT_OF_RANGE]
-    + [(["--seed", "-1"], "", "seed"), (["--paths", "0"], "", "n_paths")],
-    ids=[f"{key}={value}" for key, value in _OUT_OF_RANGE] + ["--seed=-1", "--paths=0"],
+    + [(["--seed", "-1"], "", "seed"), (["--paths", "0"], "", "n_paths")]
+    # Rejected before anything is allocated: path indices are uint32 keys.
+    + [(["--paths", str(2**32 + 1)], "", "n_paths")],
+    ids=[f"{key}={value}" for key, value in _OUT_OF_RANGE] + ["--seed=-1", "--paths=0", "--paths=2**32+1"],
 )
 def test_main_config_error_names_the_key(tmp_path, capsys, flags, config, key):
     cfg_file = tmp_path / "run.cfg"

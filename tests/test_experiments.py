@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hedgelab import experiments
 from hedgelab.experiments import (
     DEFAULT_TOLERANCES,
     ExperimentConfig,
@@ -57,11 +58,34 @@ def test_config_invariants():
         small_cfg(refinement_factors=(0, 2))
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("n_paths", 20.5), ("base_steps", 16.0), ("seed", 1.5), ("refinement_factors", (1, 2.5, 4))],
+)
+def test_config_rejects_non_integral_counts(key, value):
+    with pytest.raises(ValueError, match=rf"{key} must be an integer"):
+        small_cfg(**{key: value})
+
+
+def test_config_path_count_fits_the_uint32_path_keys():
+    # Construction only: nothing is simulated at these sizes.
+    assert small_cfg(n_paths=2**32).n_paths == 2**32
+    with pytest.raises(ValueError, match=r"n_paths must be <= 2\*\*32"):
+        small_cfg(n_paths=2**32 + 1)
+
+
+def test_config_counts_are_python_ints():
+    cfg = small_cfg(n_paths=np.int64(20), base_steps=np.int32(8), seed=np.uint64(7),
+                    refinement_factors=np.array([1, 2, 4]))
+    assert [type(v) for v in (cfg.n_paths, cfg.base_steps, cfg.seed, *cfg.refinement_factors)] == [int] * 6
+    assert cfg == small_cfg(n_paths=20, base_steps=8, seed=7, refinement_factors=(1, 2, 4))
+
+
 def test_batch_kernels_match_single_path_ledger():
     # the kernels run on a batch must reproduce the per-path API bitwise
     cfg = small_cfg(n_paths=16, base_steps=24)
     grid = uniform_grid(cfg.horizon, cfg.base_steps)
-    mkt = _batch_market(cfg.params, grid, 1, cfg.n_paths, cfg.seed, "physical")
+    mkt = _batch_market(cfg.params, grid, 1, range(cfg.n_paths), cfg.seed, "physical")
     a, y0 = delta_stock_holdings(cfg.hedge, mkt.stock, mkt.times, mkt.rate, cfg.params.sigma)
     b = complete_bond(a, mkt.stock, mkt.bond, y0)
     _, _, defect = defect_series(a, b, mkt.stock, mkt.bond)
@@ -94,7 +118,7 @@ def test_batch_kernels_match_single_path_ledger():
 def test_batch_constant_mix_matches_single_path():
     cfg = small_cfg(n_paths=8)
     grid = uniform_grid(cfg.horizon, cfg.base_steps)
-    mkt = _batch_market(cfg.params, grid, 1, cfg.n_paths, cfg.seed, "risk_neutral")
+    mkt = _batch_market(cfg.params, grid, 1, range(cfg.n_paths), cfg.seed, "risk_neutral")
     a, b = constant_mix_spec(0.6, 100.0).build(mkt)
     for i in range(cfg.n_paths):
         mp = gbm_path(cfg.params, generate_brownian(grid, cfg.seed, i), "risk_neutral")
@@ -106,8 +130,8 @@ def test_batch_constant_mix_matches_single_path():
 def test_batch_market_refinement_shares_brownian():
     cfg = small_cfg(n_paths=4, base_steps=8)
     grid = uniform_grid(cfg.horizon, cfg.base_steps)
-    base = _batch_market(cfg.params, grid, 1, cfg.n_paths, cfg.seed, "physical")
-    fine = _batch_market(cfg.params, grid, 4, cfg.n_paths, cfg.seed, "physical")
+    base = _batch_market(cfg.params, grid, 1, range(cfg.n_paths), cfg.seed, "physical")
+    fine = _batch_market(cfg.params, grid, 4, range(cfg.n_paths), cfg.seed, "physical")
     np.testing.assert_allclose(fine.stock[:, ::4], base.stock, rtol=1e-12)
     # same as refining each path by hand
     for i in range(cfg.n_paths):
@@ -334,3 +358,44 @@ def test_study_peak_memory_in_full_size_arrays(study, steps_per_path, bound):
     )
     peak = _peak_bytes(lambda: study(cfg)) / (cfg.n_paths * (steps_per_path + 1) * 8)
     assert peak <= bound, f"peak {peak:.2f} full-size arrays > {bound}"
+
+
+_STUDIES = {
+    "defect_refinement_study": defect_refinement_study,
+    "hedging_convergence": hedging_convergence,
+    "martingale_test": lambda cfg: martingale_test(cfg, _default_martingale_roster(cfg)),
+}
+
+
+@pytest.mark.parametrize("study", _STUDIES.values(), ids=_STUDIES.keys())
+def test_study_csv_does_not_depend_on_the_block_size(tmp_path, monkeypatch, study):
+    # 53 paths on 9-, 17- and 33-point grids. BUDGET 1 gives one path a
+    # block; 7 * 33 gives 25, 13 and 7 paths a block, a ragged last block
+    # at every level; 53 * 33 puts every path in one block.
+    cfg = small_cfg(n_paths=53, base_steps=8, refinement_factors=(1, 2, 4))
+    csvs = []
+    for budget in (1, 7 * 33, 53 * 33):
+        monkeypatch.setattr(experiments, "BUDGET", budget)
+        dest = tmp_path / f"{budget}.csv"
+        write_result_csv(study(cfg), dest)
+        csvs.append(dest.read_bytes())
+    assert csvs[0] == csvs[1] == csvs[2]
+
+
+@pytest.mark.parametrize(
+    "name, kept_vectors",
+    [("defect_refinement_study", 2), ("hedging_convergence", 1), ("martingale_test", 4)],
+)
+def test_study_memory_grows_only_by_its_per_path_scalars(monkeypatch, name, kept_vectors):
+    # With 8192-element blocks, 500 and 5000 paths both span two or more
+    # blocks at every level, so their block arrays are the same size. Between
+    # blocks a study keeps `kept_vectors` float64 values per path: max |D|
+    # enforced and frozen-bond, the squared hedge error, or the discounted
+    # terminal value of each of the four strategies.
+    monkeypatch.setattr(experiments, "BUDGET", 8192)
+    allowance = kept_vectors * (5000 - 500) * 8 + 4096
+    # The smaller run goes first, so one-time allocations land outside the growth.
+    study = _STUDIES[name]
+    small = _peak_bytes(lambda: study(small_cfg(n_paths=500)))
+    growth = _peak_bytes(lambda: study(small_cfg(n_paths=5000))) - small
+    assert growth <= allowance, f"peak grew by {growth} B > {allowance} B"
