@@ -75,6 +75,8 @@ def ito_doblin_residual(f: SmoothFunction, path: MarketPath) -> float:
     vanishes under grid refinement; for quadratics in s it is an exact
     algebraic identity and only floating-point accumulation remains.
     """
+    if path.stock.ndim != 1:
+        raise ValueError("ito_doblin_residual needs a single-path market")
     t = path.grid.times
     s = path.stock
     tl, sl = t[:-1], s[:-1]

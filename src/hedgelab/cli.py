@@ -16,13 +16,13 @@ has a documented default so an empty document is a complete configuration:
 
 Subcommands: simulate (path + ledger CSVs), verify (defect refinement
 study), hedge (hedging-error convergence), martingale (equal rate of
-return test). simulate generates its paths in fixed blocks with the batch
-engine (paths.gbm_batch) and writes paths.csv byte-identically to the
-per-path stream, in memory that does not grow with n_paths; the studies
-stream their paths in blocks too (see experiments). Each run writes its
-CSVs plus a manifest.json into --out and exits 0 iff every experiment
-verdict passes; negative controls that violate as expected are marked
-expected-fail and do not fail the run.
+return test). simulate draws its paths in fixed blocks, each one batch
+generate_brownian(grid, seed, range(...)) through gbm_path, and writes
+paths.csv byte-identically to the per-path stream, in memory that does not
+grow with n_paths; the studies stream their paths in blocks too (see
+experiments). Each run writes its CSVs plus a manifest.json into --out
+and exits 0 iff every experiment verdict passes; negative controls that
+violate as expected are marked expected-fail and do not fail the run.
 """
 
 from __future__ import annotations
@@ -49,12 +49,12 @@ from .experiments import (
     write_result_csv,
 )
 from .ledger import write_ledger_csv
-from .paths import GbmParams, MarketPath, gbm_batch, gbm_path, generate_brownian, uniform_grid
+from .paths import GbmParams, MarketPath, gbm_path, generate_brownian, uniform_grid
 from .strategies import delta_hedge
 
 COMMANDS = ("simulate", "verify", "hedge", "martingale")
 
-# simulate's block sizes: paths per gbm_batch call, and paths.csv rows per
+# simulate's block sizes: paths per batch draw, and paths.csv rows per
 # formatted chunk. Neither changes a byte of the output; together they
 # bound the writer's memory whatever n_paths is.
 _PATH_BLOCK = 128
@@ -156,13 +156,14 @@ def _default_martingale_roster(cfg: ExperimentConfig):
     return [
         buy_and_hold_spec(1.0, 0.0),
         constant_mix_spec(0.6, cfg.params.s0),
-        delta_hedge_spec(cfg.hedge),
+        delta_hedge_spec(cfg.hedge, cfg.params.sigma),
         cash_injection_spec(10.0),
     ]
 
 
 def _write_paths_csv(cfg: ExperimentConfig, path0: MarketPath, dest: Path) -> None:
-    """Write every path's rows, _PATH_BLOCK paths per gbm_batch call.
+    """Write every path's rows, _PATH_BLOCK paths per batch draw: the dW
+    column is the drawn BrownianPath's increments, the S column its gbm_path.
 
     Each chunk of up to _ROW_CHUNK rows is formatted by one `%`. The index,
     t and beta columns are the same on every path (beta is path 0's bond),
@@ -178,9 +179,10 @@ def _write_paths_csv(cfg: ExperimentConfig, path0: MarketPath, dest: Path) -> No
         fh.write("path,index,t,S,beta,dW\n")
         for start in range(0, cfg.n_paths, _PATH_BLOCK):
             block = range(start, min(start + _PATH_BLOCK, cfg.n_paths))
-            _, stock, increments = gbm_batch(cfg.params, grid, 1, block, cfg.seed, "physical")
+            w = generate_brownian(grid, cfg.seed, block)
+            stock = gbm_path(cfg.params, w, "physical").stock
             dw = np.zeros_like(stock)
-            dw[:, 1:] = increments
+            dw[:, 1:] = w.increments
             stock, dw = stock.ravel(), dw.ravel()
             for r0 in range(0, stock.size, _ROW_CHUNK):
                 rows = np.arange(r0, min(r0 + _ROW_CHUNK, stock.size))

@@ -5,9 +5,9 @@ Paths are independent work units indexed by path number; every statistic
 is reduced in path-index order with deterministic numpy kernels, so a
 given ExperimentConfig always reproduces the same result rows bit for bit
 no matter how the work is scheduled. Each study simulates its paths in
-fixed blocks of consecutive path indices (paths.gbm_batch, which
-reproduces the per-path default_rng([seed, i]) streams, and so the
-single-path API's stock values, bit for bit) and keeps only per-path
+fixed blocks of consecutive path indices, one batch MarketPath a block
+(generate_brownian(grid, seed, range(...)), refine, gbm_path: the rows are
+bit for bit the single-path API's markets), and keeps only per-path
 scalars between blocks. It reduces those once, over all n_paths, so no
 output depends on the block size, and memory is one block plus the
 per-path scalars whatever n_paths is.
@@ -22,20 +22,27 @@ from __future__ import annotations
 
 import csv
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .ledger import complete_bond, defect_series
-from .paths import GbmParams, TimeGrid, gbm_batch, uniform_grid
+from .paths import (
+    GbmParams,
+    MarketPath,
+    TimeGrid,
+    _integer,
+    gbm_path,
+    generate_brownian,
+    refine,
+    uniform_grid,
+)
 from .strategies import EuropeanCall, constant_mix_holdings, delta_stock_holdings, inject_cash
 
 # Unused here, but the traced benchmark run (perfbench/tracing.py) wraps
 # these names as attributes of this module and fails if one is missing.
 from .accum import comp_cumsum  # noqa: F401
-from .paths import gbm_path, generate_brownian, refine  # noqa: F401
 from .strategies import bs_delta  # noqa: F401
 
 DEFAULT_TOLERANCES = {
@@ -58,13 +65,6 @@ DEFAULT_TOLERANCES = {
 # holds max(1, BUDGET // n_points) consecutive paths. No output depends on
 # it; it bounds the studies' memory whatever n_paths is.
 BUDGET = 2**18
-
-
-def _integer(name: str, value) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -129,26 +129,15 @@ def _verdict(rows) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Batch market
+# Block markets
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class BatchMarket:
-    """Stacked market paths: stock is (paths, n_points), bond is shared."""
-
-    times: np.ndarray
-    stock: np.ndarray
-    bond: np.ndarray
-    rate: float
-    sigma: float
 
 
 @dataclass(frozen=True)
 class StrategySpec:
     """A named holdings builder for the martingale test.
 
-    `build` maps a BatchMarket to (a, b) holdings arrays, each either
+    `build` maps a batch MarketPath to (a, b) holdings arrays, each either
     (n_points,) shared across paths or (paths, n_points), for the paths of
     the market it is given: one block of a study. Controls are
     expected to violate the martingale band and are reported as
@@ -156,28 +145,20 @@ class StrategySpec:
     """
 
     name: str
-    build: Callable[[BatchMarket], tuple[np.ndarray, np.ndarray]]
+    build: Callable[[MarketPath], tuple[np.ndarray, np.ndarray]]
     control: bool = False
 
 
-def _batch_market(
-    params: GbmParams,
-    base_grid: TimeGrid,
-    factor: int,
-    paths: range,
-    seed: int,
-    measure: str,
-) -> BatchMarket:
-    """Simulate the market paths of the indices in `paths`, refining the
-    base grid by `factor`.
-
-    Path i uses the counter (seed, i); refinement keys extend the counter,
-    so all levels of a refinement study share Brownian motion with the base
-    resolution at the shared instants.
+def _market(cfg: ExperimentConfig, grid: TimeGrid, factor: int, block: range, measure: str) -> MarketPath:
+    """The batch market of the path indices in `block`, on `grid` refined by
+    `factor`. Path i uses the counter (cfg.seed, i); refinement keys extend
+    it, so every level of a refinement study shares Brownian motion with the
+    base resolution at the shared instants.
     """
-    grid, stock, _ = gbm_batch(params, base_grid, factor, paths, seed, measure)
-    bond = np.exp(params.r * grid.times)
-    return BatchMarket(grid.times, stock, bond, params.r, params.sigma)
+    w = generate_brownian(grid, cfg.seed, block)
+    if factor > 1:
+        grid, w = refine(grid, w, factor)
+    return gbm_path(cfg.params, w, measure)
 
 
 def _blocks(n_paths: int, n_points: int):
@@ -187,13 +168,13 @@ def _blocks(n_paths: int, n_points: int):
         yield range(start, min(start + size, n_paths))
 
 
-def _delta_hedge(mkt: BatchMarket, option: EuropeanCall):
-    """Self-financing delta-hedge holdings (a, b) of every path, at the market's vol."""
-    a, y0 = delta_stock_holdings(option, mkt.stock, mkt.times, mkt.rate, mkt.sigma)
+def _delta_hedge(mkt: MarketPath, option: EuropeanCall, vol: float):
+    """Self-financing delta-hedge holdings (a, b) of every path, at volatility `vol`."""
+    a, y0 = delta_stock_holdings(option, mkt.stock, mkt.grid.times, mkt.rate, vol)
     return a, complete_bond(a, mkt.stock, mkt.bond, y0)
 
 
-def _max_abs_defect(a: np.ndarray, b: np.ndarray, mkt: BatchMarket) -> np.ndarray:
+def _max_abs_defect(a: np.ndarray, b: np.ndarray, mkt: MarketPath) -> np.ndarray:
     """max |D| of each path."""
     # Indexing drops the value and gain series before np.abs allocates.
     defect = defect_series(a, b, mkt.stock, mkt.bond)[2]
@@ -208,8 +189,8 @@ def _block_defects(cfg: ExperimentConfig, base_grid: TimeGrid, factor: int, bloc
     """Each path's max |D| for the enforced delta hedge and for its
     frozen-bond control, and whether any path of the block rebalances.
     """
-    mkt = _batch_market(cfg.params, base_grid, factor, block, cfg.seed, "physical")
-    a, b = _delta_hedge(mkt, cfg.hedge)
+    mkt = _market(cfg, base_grid, factor, block, "physical")
+    a, b = _delta_hedge(mkt, cfg.hedge, cfg.params.sigma)
     enforced = _max_abs_defect(a, b, mkt)
     frozen = _max_abs_defect(a, np.broadcast_to(b[:, :1], b.shape), mkt)
     return enforced, frozen, bool(np.any(np.diff(a, axis=-1) != 0.0))
@@ -217,14 +198,14 @@ def _block_defects(cfg: ExperimentConfig, base_grid: TimeGrid, factor: int, bloc
 
 def _block_hedge_errors(cfg: ExperimentConfig, base_grid: TimeGrid, factor: int, block: range):
     """Each path's squared terminal error of the delta hedge against the payoff."""
-    mkt = _batch_market(cfg.params, base_grid, factor, block, cfg.seed, "physical")
-    a, b = _delta_hedge(mkt, cfg.hedge)
+    mkt = _market(cfg, base_grid, factor, block, "physical")
+    a, b = _delta_hedge(mkt, cfg.hedge, cfg.params.sigma)
     terminal = a[:, -1] * mkt.stock[:, -1] + b[:, -1] * mkt.bond[-1]
     payoff = np.maximum(mkt.stock[:, -1] - cfg.strike, 0.0)
     return (terminal - payoff) ** 2
 
 
-def _discounted_terminal(spec: StrategySpec, mkt: BatchMarket) -> tuple[float, np.ndarray]:
+def _discounted_terminal(spec: StrategySpec, mkt: MarketPath) -> tuple[float, np.ndarray]:
     """Y_0 of the market's first path and Y_T / beta_T of each path. The
     holdings die on return, so one strategy's are gone before the next
     strategy's are built.
@@ -242,23 +223,23 @@ def _discounted_terminal(spec: StrategySpec, mkt: BatchMarket) -> tuple[float, n
 
 
 def buy_and_hold_spec(a0: float, b0: float) -> StrategySpec:
-    def build(mkt: BatchMarket):
-        n = mkt.times.size
+    def build(mkt: MarketPath):
+        n = mkt.grid.n_points
         return np.full(n, float(a0)), np.full(n, float(b0))
 
     return StrategySpec(f"buy_and_hold(a0={a0:g},b0={b0:g})", build)
 
 
 def constant_mix_spec(stock_weight: float, initial_wealth: float) -> StrategySpec:
-    def build(mkt: BatchMarket):
+    def build(mkt: MarketPath):
         return constant_mix_holdings(mkt.stock, mkt.bond, stock_weight, initial_wealth)
 
     return StrategySpec(f"constant_mix(w={stock_weight:g})", build)
 
 
-def delta_hedge_spec(option: EuropeanCall) -> StrategySpec:
-    def build(mkt: BatchMarket):
-        return _delta_hedge(mkt, option)
+def delta_hedge_spec(option: EuropeanCall, vol: float) -> StrategySpec:
+    def build(mkt: MarketPath):
+        return _delta_hedge(mkt, option, vol)
 
     return StrategySpec(f"delta_hedge(K={option.strike:g})", build)
 
@@ -268,8 +249,8 @@ def cash_injection_spec(
 ) -> StrategySpec:
     """Buy-and-hold plus external money appearing at one rebalance (control)."""
 
-    def build(mkt: BatchMarket):
-        n = mkt.times.size
+    def build(mkt: MarketPath):
+        n = mkt.grid.n_points
         j = n // 2 if at_index is None else at_index
         return np.full(n, float(a0)), inject_cash(np.full(n, float(b0)), mkt.bond, amount, j)
 
@@ -337,7 +318,7 @@ def martingale_test(cfg: ExperimentConfig, strategies: list[StrategySpec]) -> Ex
     y0s = [0.0] * len(strategies)
     discounted = np.empty((len(strategies), cfg.n_paths))
     for block in _blocks(cfg.n_paths, grid.n_points):
-        mkt = _batch_market(cfg.params, grid, 1, block, cfg.seed, "risk_neutral")
+        mkt = _market(cfg, grid, 1, block, "risk_neutral")
         for j, spec in enumerate(strategies):
             y0, discounted[j, block.start : block.stop] = _discounted_terminal(spec, mkt)
             if block.start == 0:

@@ -10,14 +10,16 @@ Randomness is counter-based: every increment sequence is a pure function
 of (seed, path_index, grid), so Monte Carlo results are reproducible under
 any execution order. Refinement keys extend the counter so a refined path
 is likewise a pure function of its inputs. Path (seed, i) draws from the
-PCG64 stream of default_rng([seed, i]); the batch builder `gbm_batch`
+PCG64 stream of default_rng([seed, i]). A batch is drawn by passing a
+range of path indices, generate_brownian(grid, seed, range(...)): it
 derives every path's PCG64 state at once and reproduces those streams bit
-for bit.
+for bit, and refine and gbm_path take the batch as they take one path.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +43,14 @@ _SS_POOL = 4
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32 = (1 << 32) - 1
 _MASK128 = (1 << 128) - 1
+
+
+def _integer(name: str, value) -> int:
+    """`value` as an int; a float or other non-integer raises instead of truncating."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _readonly(values, dtype=float) -> np.ndarray:
@@ -137,19 +147,23 @@ def _require_positive(values: np.ndarray, name: str) -> None:
 
 @dataclass(frozen=True, eq=False)
 class MarketPath:
-    """Sampled stock and bond values on a grid, with the driving increments."""
+    """Sampled stock and bond values on a grid.
+
+    `stock` holds one path, shape (n_points,), or a batch of paths stacked
+    along a leading axis, shape (n_paths, n_points); the bond, shape
+    (n_points,), is shared by every path.
+    """
 
     grid: TimeGrid
     stock: np.ndarray
     bond: np.ndarray
-    brownian: BrownianPath
     rate: float = 0.0
 
     def __post_init__(self):
         s = _readonly(self.stock)
         b = _readonly(self.bond)
         n = self.grid.n_points
-        if s.shape != (n,) or b.shape != (n,):
+        if s.ndim not in (1, 2) or s.shape[-1] != n or b.shape != (n,):
             raise ValueError("stock and bond must have one value per grid point")
         _require_positive(s, "stock")
         _require_positive(b, "bond")
@@ -163,9 +177,10 @@ def uniform_grid(horizon: float, steps: int) -> TimeGrid:
     """Equally spaced grid of `steps` intervals on [0, horizon]."""
     if not (horizon > 0.0 and math.isfinite(horizon)):
         raise ValueError("horizon must be > 0")
-    if int(steps) < 1:
+    steps = _integer("steps", steps)
+    if steps < 1:
         raise ValueError("steps must be >= 1")
-    return TimeGrid(np.linspace(0.0, float(horizon), int(steps) + 1))
+    return TimeGrid(np.linspace(0.0, float(horizon), steps + 1))
 
 
 def _uint32_words(n: int) -> list[int]:
@@ -258,20 +273,23 @@ def _keyed_normals(key: tuple, shape: tuple) -> np.ndarray:
     return out
 
 
-def _brownian(grid: TimeGrid, key: tuple) -> BrownianPath:
-    z = _keyed_normals(key, (grid.n_points - 1,))
-    z *= np.sqrt(grid.dt)
-    return BrownianPath(grid, z, key=key)
-
-
-def generate_brownian(grid: TimeGrid, seed: int, path_index: int = 0) -> BrownianPath:
-    """Draw the increment sequence for one path.
+def generate_brownian(grid: TimeGrid, seed: int, path_index: int | range = 0) -> BrownianPath:
+    """Draw the increment sequence for one path, or for a range of paths.
 
     The stream is keyed by (seed, path_index): the same pair always yields
     bit-identical increments, and distinct pairs yield independent streams,
-    regardless of call order or thread schedule.
+    regardless of call order or thread schedule. A range of path indices
+    gives the batch BrownianPath whose row j is bit for bit the draw of
+    path index path_index[j].
     """
-    return _brownian(grid, (int(seed), int(path_index)))
+    if isinstance(path_index, range):
+        index = np.arange(path_index.start, path_index.stop, path_index.step)
+    else:
+        index = _integer("path_index", path_index)
+    key = (_integer("seed", seed), index)
+    z = _keyed_normals(key, (grid.n_points - 1,))
+    z *= np.sqrt(grid.dt)
+    return BrownianPath(grid, z, key=key)
 
 
 def _gbm_stock(params: GbmParams, w: BrownianPath, measure: str) -> np.ndarray:
@@ -299,11 +317,12 @@ def gbm_path(params: GbmParams, w: BrownianPath, measure: str) -> MarketPath:
     measure: "physical" uses drift mu, "risk_neutral" substitutes r.
     S_k = s0 * exp((d - sigma^2/2) * t_k + sigma * W_k) reproduces the
     step recurrence S_{k+1} = S_k * exp((d - sigma^2/2) dt_k + sigma dW_k)
-    without compounding per-step rounding.
+    without compounding per-step rounding. A batch `w` gives the batch
+    market of its paths.
     """
     stock = _gbm_stock(params, w, measure)
     bond = np.exp(params.r * w.grid.times)
-    return MarketPath(grid=w.grid, stock=stock, bond=bond, brownian=w, rate=params.r)
+    return MarketPath(grid=w.grid, stock=stock, bond=bond, rate=params.r)
 
 
 def _bridge(xi: np.ndarray, h: np.ndarray, increments: np.ndarray) -> np.ndarray:
@@ -329,7 +348,7 @@ def refine(grid: TimeGrid, w: BrownianPath, factor: int) -> tuple[TimeGrid, Brow
     is refined path by path, each with its own bridge stream.
     """
     grid.require_same(w.grid)
-    m = int(factor)
+    m = _integer("factor", factor)
     if m < 2:
         raise ValueError("refinement factor must be >= 2")
     n_steps = grid.n_points - 1
@@ -342,22 +361,3 @@ def refine(grid: TimeGrid, w: BrownianPath, factor: int) -> tuple[TimeGrid, Brow
     times = np.append(fine.reshape(-1), grid.times[-1])
     new_grid = TimeGrid(times)
     return new_grid, BrownianPath(new_grid, sub.reshape(*w.increments.shape[:-1], -1), key=key)
-
-
-def gbm_batch(
-    params: GbmParams, grid: TimeGrid, factor: int, paths: range, seed: int, measure: str
-) -> tuple[TimeGrid, np.ndarray, np.ndarray]:
-    """Stock values of the path indices in `paths`, refined by `factor`, in one pass.
-
-    The row of path i is bit for bit the stock of
-    gbm_path(params, refine(grid, generate_brownian(grid, seed, i), factor)[1], measure)
-    (no refinement for factor 1), and the same checks apply. Returns the
-    (refined) grid, the (len(paths), n_points) stock array and the
-    (len(paths), n_points - 1) Brownian increments that drive it.
-    """
-    w = _brownian(grid, (int(seed), np.arange(paths.start, paths.stop, paths.step)))
-    if int(factor) > 1:
-        grid, w = refine(grid, w, int(factor))
-    stock = _gbm_stock(params, w, measure)
-    _require_positive(stock, "stock")
-    return grid, stock, w.increments

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hedgelab.paths import BrownianPath, GbmParams, MarketPath, TimeGrid, generate_brownian, gbm_path, uniform_grid
+from hedgelab.paths import GbmParams, MarketPath, TimeGrid, generate_brownian, gbm_path, uniform_grid
 
 
 def make_market(seed=0, path_index=0, steps=64, horizon=1.0, s0=100.0, mu=0.05,
@@ -20,8 +20,7 @@ def hand_market(stock, bond=None, times=None):
         times = np.linspace(0.0, 1.0, n)
     grid = TimeGrid(np.asarray(times, dtype=float))
     bond = np.ones(n) if bond is None else np.asarray(bond, dtype=float)
-    w = BrownianPath(grid, np.zeros(n - 1))
-    return MarketPath(grid, stock, bond, w, rate=0.0)
+    return MarketPath(grid, stock, bond, rate=0.0)
 
 
 @pytest.fixture

@@ -126,7 +126,7 @@ def test_criterion_4_risk_neutral_equal_rate_of_return():
         [
             buy_and_hold_spec(1.0, 0.0),
             constant_mix_spec(0.6, 100.0),
-            delta_hedge_spec(cfg.hedge),
+            delta_hedge_spec(cfg.hedge, cfg.params.sigma),
             cash_injection_spec(10.0),
         ],
     )

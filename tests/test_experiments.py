@@ -10,7 +10,7 @@ from hedgelab.experiments import (
     DEFAULT_TOLERANCES,
     ExperimentConfig,
     StrategySpec,
-    _batch_market,
+    _market,
     buy_and_hold_spec,
     cash_injection_spec,
     constant_mix_spec,
@@ -85,8 +85,8 @@ def test_batch_kernels_match_single_path_ledger():
     # the kernels run on a batch must reproduce the per-path API bitwise
     cfg = small_cfg(n_paths=16, base_steps=24)
     grid = uniform_grid(cfg.horizon, cfg.base_steps)
-    mkt = _batch_market(cfg.params, grid, 1, range(cfg.n_paths), cfg.seed, "physical")
-    a, y0 = delta_stock_holdings(cfg.hedge, mkt.stock, mkt.times, mkt.rate, cfg.params.sigma)
+    mkt = _market(cfg, grid, 1, range(cfg.n_paths), "physical")
+    a, y0 = delta_stock_holdings(cfg.hedge, mkt.stock, mkt.grid.times, mkt.rate, cfg.params.sigma)
     b = complete_bond(a, mkt.stock, mkt.bond, y0)
     _, _, defect = defect_series(a, b, mkt.stock, mkt.bond)
     # shared (n,) holdings against (P, n) stock, as buy_and_hold_spec and
@@ -118,7 +118,7 @@ def test_batch_kernels_match_single_path_ledger():
 def test_batch_constant_mix_matches_single_path():
     cfg = small_cfg(n_paths=8)
     grid = uniform_grid(cfg.horizon, cfg.base_steps)
-    mkt = _batch_market(cfg.params, grid, 1, range(cfg.n_paths), cfg.seed, "risk_neutral")
+    mkt = _market(cfg, grid, 1, range(cfg.n_paths), "risk_neutral")
     a, b = constant_mix_spec(0.6, 100.0).build(mkt)
     for i in range(cfg.n_paths):
         mp = gbm_path(cfg.params, generate_brownian(grid, cfg.seed, i), "risk_neutral")
@@ -127,11 +127,11 @@ def test_batch_constant_mix_matches_single_path():
         assert np.array_equal(h.b, b[i])
 
 
-def test_batch_market_refinement_shares_brownian():
+def test_block_market_refinement_shares_brownian():
     cfg = small_cfg(n_paths=4, base_steps=8)
     grid = uniform_grid(cfg.horizon, cfg.base_steps)
-    base = _batch_market(cfg.params, grid, 1, range(cfg.n_paths), cfg.seed, "physical")
-    fine = _batch_market(cfg.params, grid, 4, range(cfg.n_paths), cfg.seed, "physical")
+    base = _market(cfg, grid, 1, range(cfg.n_paths), "physical")
+    fine = _market(cfg, grid, 4, range(cfg.n_paths), "physical")
     np.testing.assert_allclose(fine.stock[:, ::4], base.stock, rtol=1e-12)
     # same as refining each path by hand
     for i in range(cfg.n_paths):
@@ -217,7 +217,7 @@ def test_martingale_full_roster_verdict():
         [
             buy_and_hold_spec(1.0, 0.0),
             constant_mix_spec(0.6, 100.0),
-            delta_hedge_spec(cfg.hedge),
+            delta_hedge_spec(cfg.hedge, cfg.params.sigma),
             cash_injection_spec(10.0),
         ],
     )

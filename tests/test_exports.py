@@ -1,9 +1,14 @@
+import ast
 import re
 from pathlib import Path
 
+import pytest
+
 import hedgelab
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+SRC = ROOT / "src" / "hedgelab"
 
 
 def test_package_exports_are_the_readme_example_names():
@@ -11,3 +16,30 @@ def test_package_exports_are_the_readme_example_names():
     names = {name.strip() for name in block.split(",") if name.strip()}
     assert names == set(hedgelab.__all__)
     assert all(hasattr(hedgelab, name) for name in hedgelab.__all__)
+
+
+# Imported only so that the traced benchmark run can wrap them as
+# attributes of hedgelab.experiments: see SITES in perfbench/tracing.py.
+TRACER_ONLY_IMPORTS = {("experiments", "comp_cumsum"), ("experiments", "bs_delta")}
+
+
+def _unused_imports(source: str) -> set[str]:
+    """Module-level imported names that the module neither uses nor lists in __all__."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return imported - used
+
+
+@pytest.mark.parametrize("module", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_every_module_level_import_is_used(module):
+    allowed = {name for mod, name in TRACER_ONLY_IMPORTS if mod == module.stem}
+    assert _unused_imports(module.read_text()) == allowed

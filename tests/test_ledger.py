@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hedgelab.calculus import SampledSeries, ito_integral
+from hedgelab.calculus import SampledSeries, SmoothFunction, ito_doblin_residual, ito_integral
 from hedgelab.ledger import (
     LEDGER_CSV_COLUMNS,
     enforce_self_financing,
@@ -11,8 +11,15 @@ from hedgelab.ledger import (
     self_financing_defect,
     write_ledger_csv,
 )
-from hedgelab.paths import uniform_grid
-from hedgelab.strategies import EuropeanCall, HoldingsSchedule, broken_strategy, buy_and_hold, delta_hedge
+from hedgelab.paths import GbmParams, gbm_path, generate_brownian, uniform_grid
+from hedgelab.strategies import (
+    EuropeanCall,
+    HoldingsSchedule,
+    broken_strategy,
+    buy_and_hold,
+    constant_mix,
+    delta_hedge,
+)
 
 from conftest import hand_market, make_market
 
@@ -184,3 +191,34 @@ def test_ledger_csv_round_trip(tmp_path):
     rep = self_financing_defect(h, mp)
     np.testing.assert_array_equal(cols["Y"], rep.value)
     np.testing.assert_array_equal(cols["D"], rep.defect)
+
+
+# partials that ignore s, so no shape clash stops the batch before the check
+_LINEAR_IN_T = SmoothFunction(
+    f=lambda t, s: t, df_dt=lambda t, s: 1.0, df_ds=lambda t, s: 0.0, d2f_ds2=lambda t, s: 0.0
+)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda mkt, h, dest: delta_hedge(EuropeanCall(100.0, 1.0), mkt, 0.2),
+        lambda mkt, h, dest: constant_mix(mkt, 0.6, 100.0),
+        lambda mkt, h, dest: portfolio_value(h, mkt),
+        lambda mkt, h, dest: self_financing_defect(h, mkt),
+        lambda mkt, h, dest: ito_expansion_terms(h, mkt),
+        lambda mkt, h, dest: write_ledger_csv(h, mkt, dest),
+        lambda mkt, h, dest: ito_doblin_residual(_LINEAR_IN_T, mkt),
+    ],
+    ids=[
+        "delta_hedge", "constant_mix", "portfolio_value", "self_financing_defect",
+        "ito_expansion_terms", "write_ledger_csv", "ito_doblin_residual",
+    ],
+)
+def test_single_path_api_refuses_a_multi_path_market(call, tmp_path):
+    grid = uniform_grid(1.0, 8)
+    mkt = gbm_path(GbmParams(100.0, 0.05, 0.2, 0.05), generate_brownian(grid, 3, range(3)), "physical")
+    dest = tmp_path / "ledger.csv"
+    with pytest.raises(ValueError):
+        call(mkt, buy_and_hold(grid, 1.0, 0.0), dest)
+    assert not dest.exists()

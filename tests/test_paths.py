@@ -7,7 +7,6 @@ from hedgelab.paths import (
     BrownianPath,
     GbmParams,
     TimeGrid,
-    gbm_batch,
     generate_brownian,
     gbm_path,
     refine,
@@ -99,7 +98,7 @@ def test_bond_ratio_invariant(market):
 def test_gbm_matches_step_recurrence(market):
     # closed form vs explicit per-step compounding
     params = GbmParams(100.0, 0.05, 0.2, 0.05)
-    inc = market.brownian.increments
+    inc = generate_brownian(market.grid, 0, 0).increments
     s = [100.0]
     for dt, dw in zip(market.grid.dt, inc):
         s.append(s[-1] * math.exp((params.mu - 0.5 * params.sigma**2) * dt + params.sigma * dw))
@@ -191,8 +190,16 @@ def test_values_are_immutable(market):
         market.grid.times[0] = 1.0
 
 
+def _market(params, grid, factor, paths, seed, measure):
+    """The batch market of `paths` on `grid` refined by `factor`, and its increments."""
+    w = generate_brownian(grid, seed, paths)
+    if factor > 1:
+        grid, w = refine(grid, w, factor)
+    return gbm_path(params, w, measure), w
+
+
 @pytest.mark.parametrize("seed", [0, 1, 42, 2**32 + 5, 2**70 + 3])
-def test_gbm_batch_is_bitwise_the_per_path_reference(seed):
+def test_range_draw_is_bitwise_the_per_path_reference(seed):
     # seeds above 2**32 take several SeedSequence entropy words; with the
     # bridge salt, 2**70 + 3 overflows the 4-word pool
     params = GbmParams(100.0, 0.07, 0.3, 0.03)
@@ -200,37 +207,55 @@ def test_gbm_batch_is_bitwise_the_per_path_reference(seed):
         for measure in ("physical", "risk_neutral"):
             for steps, n_paths in ((7, 5), (4, 1)):
                 grid = uniform_grid(1.0, steps)
-                fine_grid, stock, _ = gbm_batch(params, grid, factor, range(n_paths), seed, measure)
-                assert stock.shape == (n_paths, fine_grid.n_points)
+                mkt, _ = _market(params, grid, factor, range(n_paths), seed, measure)
+                assert mkt.stock.shape == (n_paths, mkt.grid.n_points)
                 for i in range(n_paths):
                     ref_grid, w = grid, generate_brownian(grid, seed, i)
                     if factor > 1:
                         ref_grid, w = refine(grid, w, factor)
-                    assert np.array_equal(gbm_path(params, w, measure).stock, stock[i])
-                assert np.array_equal(fine_grid.times, ref_grid.times)
+                    ref = gbm_path(params, w, measure)
+                    assert np.array_equal(ref.stock, mkt.stock[i])
+                    assert np.array_equal(ref.bond, mkt.bond)
+                assert np.array_equal(mkt.grid.times, ref_grid.times)
 
 
-def test_gbm_batch_path_range_returns_each_paths_stock_and_increments():
+@pytest.mark.parametrize("paths", [range(3, 9), range(3, 20, 4), range(5, 6)])
+def test_path_range_returns_each_paths_stock_and_increments(paths):
     params = GbmParams(100.0, 0.07, 0.3, 0.03)
     grid = uniform_grid(1.0, 6)
-    paths = range(3, 9)
     for factor in (1, 4):
         for measure in ("physical", "risk_neutral"):
-            fine_grid, stock, increments = gbm_batch(params, grid, factor, paths, 11, measure)
-            assert stock.shape == (len(paths), fine_grid.n_points)
-            assert increments.shape == (len(paths), fine_grid.n_points - 1)
+            mkt, drawn = _market(params, grid, factor, paths, 11, measure)
+            assert mkt.stock.shape == (len(paths), mkt.grid.n_points)
+            assert drawn.increments.shape == (len(paths), mkt.grid.n_points - 1)
             for row, i in enumerate(paths):
                 w = generate_brownian(grid, 11, i)
                 if factor > 1:
                     w = refine(grid, w, factor)[1]
-                assert np.array_equal(increments[row], w.increments)
-                assert np.array_equal(stock[row], gbm_path(params, w, measure).stock)
+                assert np.array_equal(drawn.increments[row], w.increments)
+                assert np.array_equal(mkt.stock[row], gbm_path(params, w, measure).stock)
 
 
-def test_gbm_batch_underflow_is_rejected_like_market_path():
+def test_batch_underflow_is_rejected_like_market_path():
     params = GbmParams(100.0, 0.05, 40.0, 0.05)
     grid = uniform_grid(1.0, 8)
     with pytest.raises(ValueError, match="stock values must be positive and finite"):
         gbm_path(params, generate_brownian(grid, 0), "physical")
     with pytest.raises(ValueError, match="stock values must be positive and finite"):
-        gbm_batch(params, grid, 1, range(4), 0, "physical")
+        gbm_path(params, generate_brownian(grid, 0, range(4)), "physical")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda grid: uniform_grid(1.0, 2.5),
+        lambda grid: refine(grid, generate_brownian(grid, 0), 2.9),
+        lambda grid: generate_brownian(grid, 1.7),
+        lambda grid: generate_brownian(grid, 1, 0.5),
+    ],
+    ids=["uniform_grid steps", "refine factor", "generate_brownian seed", "generate_brownian path_index"],
+)
+def test_integer_arguments_refuse_non_integers(call):
+    # int() would truncate each of these to a valid but different request
+    with pytest.raises(ValueError, match="must be an integer"):
+        call(uniform_grid(1.0, 4))
