@@ -13,6 +13,10 @@ funded by an offsetting transfer. A strategy is self-financing iff these
 four terms cancel at every step, which `enforce_self_financing` achieves
 by construction.
 
+Each quantity has one source: `self_financing_defect` gives the value Y,
+the gain G and the cumulative defect D = Y - Y_0 - G, and
+`ito_expansion_terms` gives the four rebalancing terms, cumulated.
+
 Timing convention: holdings entry k applies over [t_k, t_{k+1}); the
 rebalance da_k = a_{k+1} - a_k executes at t_{k+1}, so its defect lands in
 the cumulative series at index k+1.
@@ -23,7 +27,6 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -38,24 +41,14 @@ LEDGER_CSV_COLUMNS = (
 )
 
 
-class StepTerms(NamedTuple):
-    """Per-step defect decomposition, one entry per grid interval."""
-
-    s_da: np.ndarray
-    da_ds: np.ndarray
-    beta_db: np.ndarray
-    db_dbeta: np.ndarray
-
-
 @dataclass(frozen=True, eq=False)
 class LedgerReport:
-    """Value, gain, cumulative defect, and the per-step defect quadruple."""
+    """Value Y, gain G and cumulative defect D of one path, one entry per grid point."""
 
     grid: TimeGrid
     value: np.ndarray
     gain: np.ndarray
     defect: np.ndarray
-    step_terms: StepTerms
 
     def __post_init__(self):
         n = self.grid.n_points
@@ -64,10 +57,6 @@ class LedgerReport:
             if arr.shape != (n,):
                 raise ValueError(f"{name} series needs one value per grid point")
             object.__setattr__(self, name, arr)
-        terms = StepTerms(*(_readonly(t) for t in self.step_terms))
-        if any(t.shape != (n - 1,) for t in terms):
-            raise ValueError("step terms need one entry per grid interval")
-        object.__setattr__(self, "step_terms", terms)
 
 
 # Kernels: holdings and stock are one path (n_points,) or a batch
@@ -75,16 +64,14 @@ class LedgerReport:
 # same IEEE operations as a 1-D call.
 
 
-def gain_series(a, b, stock, bond) -> np.ndarray:
-    """G_0 = 0, G_{k+1} = G_k + a_k * dS_k + b_k * dbeta_k, along the last axis."""
-    terms = a[..., :-1] * np.diff(stock, axis=-1) + b[..., :-1] * np.diff(bond)
-    return comp_cumsum(terms, axis=-1)
-
-
 def defect_series(a, b, stock, bond) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Value Y = a S + b beta, gain G and cumulative defect D = Y - Y_0 - G."""
+    """Value Y = a S + b beta, gain G and cumulative defect D = Y - Y_0 - G.
+
+    G_0 = 0, G_{k+1} = G_k + a_k * dS_k + b_k * dbeta_k, along the last axis.
+    """
     value = a * stock + b * bond
-    gain = gain_series(a, b, stock, bond)
+    # The gain's step terms are a temporary of the call, freed before D is built.
+    gain = comp_cumsum(a[..., :-1] * np.diff(stock, axis=-1) + b[..., :-1] * np.diff(bond), axis=-1)
     return value, gain, value - value[..., :1] - gain
 
 
@@ -103,55 +90,37 @@ def complete_bond(a, stock, bond, y0: float) -> np.ndarray:
     return b
 
 
-def portfolio_value(h: HoldingsSchedule, m: MarketPath) -> SampledSeries:
-    """Y_k = a_k * S_k + b_k * beta_k."""
-    h.grid.require_same(m.grid)
-    return SampledSeries(h.grid, h.a * m.stock + h.b * m.bond)
-
-
-def gain_process(h: HoldingsSchedule, m: MarketPath) -> SampledSeries:
-    """Cumulative profit from holding positions, left-endpoint sampled.
-
-    G_0 = 0, G_{k+1} = G_k + a_k * dS_k + b_k * dbeta_k.
-    """
-    h.grid.require_same(m.grid)
-    return SampledSeries(h.grid, gain_series(h.a, h.b, m.stock, m.bond))
-
-
-def _step_terms(h: HoldingsSchedule, m: MarketPath) -> StepTerms:
+def _step_terms(h: HoldingsSchedule, m: MarketPath) -> np.ndarray:
+    """The four rebalancing terms of each grid interval, stacked (4, n_points - 1):
+    S_k da_k, da_k dS_k, beta_k db_k and db_k dbeta_k."""
     da = np.diff(h.a)
     db = np.diff(h.b)
-    return StepTerms(
-        s_da=m.stock[:-1] * da,
-        da_ds=da * np.diff(m.stock),
-        beta_db=m.bond[:-1] * db,
-        db_dbeta=db * np.diff(m.bond),
-    )
+    return np.stack((m.stock[:-1] * da, da * np.diff(m.stock), m.bond[:-1] * db, db * np.diff(m.bond)))
 
 
 def self_financing_defect(h: HoldingsSchedule, m: MarketPath) -> LedgerReport:
-    """Full ledger: D_k = Y_k - Y_0 - G_k plus the per-step quadruple.
+    """Full ledger: Y_k = a_k S_k + b_k beta_k, G_k and D_k = Y_k - Y_0 - G_k.
 
     D is identically zero iff the strategy is self-financing; otherwise it
     measures the external value created or destroyed up to t_k, and equals
-    the running sum of the four step terms (exact discrete product rule).
+    the sum of the four `ito_expansion_terms` (exact discrete product rule).
     """
     h.grid.require_same(m.grid)
-    value, gain, defect = defect_series(h.a, h.b, m.stock, m.bond)
-    return LedgerReport(h.grid, value, gain, defect, _step_terms(h, m))
+    return LedgerReport(h.grid, *defect_series(h.a, h.b, m.stock, m.bond))
 
 
 def ito_expansion_terms(
     h: HoldingsSchedule, m: MarketPath
 ) -> tuple[SampledSeries, SampledSeries, SampledSeries, SampledSeries]:
-    """Cumulative series of the four extra expansion terms.
+    """Cumulative series of the four extra expansion terms, in the order
+    S da, da dS, beta db, db dbeta.
 
     Their pointwise sum equals the defect series of `self_financing_defect`;
     for a self-financing strategy the four series cancel at every index
     without being individually zero.
     """
     h.grid.require_same(m.grid)
-    return tuple(SampledSeries(h.grid, comp_cumsum(terms)) for terms in _step_terms(h, m))
+    return tuple(SampledSeries(h.grid, series) for series in comp_cumsum(_step_terms(h, m)))
 
 
 def enforce_self_financing(a: SampledSeries, m: MarketPath, y0: float) -> HoldingsSchedule:
@@ -171,16 +140,13 @@ def write_ledger_csv(h: HoldingsSchedule, m: MarketPath, dest) -> Path:
     the term columns.
     """
     report = self_financing_defect(h, m)
+    steps = np.zeros((4, h.grid.n_points))
+    steps[:, 1:] = _step_terms(h, m)
+    columns = (m.grid.times, m.stock, m.bond, h.a, h.b, report.value, report.gain, report.defect, *steps)
     dest = Path(dest)
     with open(dest, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(LEDGER_CSV_COLUMNS)
-        terms = report.step_terms
-        for k in range(h.grid.n_points):
-            step = (0.0, 0.0, 0.0, 0.0) if k == 0 else tuple(t[k - 1] for t in terms)
-            row = (
-                m.grid.times[k], m.stock[k], m.bond[k], h.a[k], h.b[k],
-                report.value[k], report.gain[k], report.defect[k], *step,
-            )
+        for k, row in enumerate(zip(*columns)):
             writer.writerow([k] + [format(float(x), ".17g") for x in row])
     return dest

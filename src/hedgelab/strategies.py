@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .calculus import SampledSeries
-from .paths import MarketPath, TimeGrid, _readonly
+from .paths import MarketPath, TimeGrid, _integer, _readonly
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -86,7 +86,7 @@ def constant_mix_holdings(stock, bond, w: float, wealth0: float) -> tuple[np.nda
 def inject_cash(b, bond, amount: float, at_index: int) -> np.ndarray:
     """Bond holdings b plus `amount` of external money (amount / beta_j bond
     units) held from grid index j = at_index on."""
-    j = int(at_index)
+    j = _integer("at_index", at_index)
     if not 0 <= j < b.shape[-1]:
         raise ValueError("injection index out of range")
     b = np.array(b, dtype=float)
@@ -105,20 +105,32 @@ def constant_mix(path: MarketPath, stock_weight: float, initial_wealth: float) -
     return HoldingsSchedule(path.grid, a, b)
 
 
+def _check_bs_args(s, strike: float, vol: float, rate: float, tau) -> None:
+    """The argument rules of `bs_price` and `bs_delta`; s and tau may be arrays.
+
+    NaN fails every comparison, so it is refused with the rule it breaks.
+    """
+    if not np.all(s > 0.0):
+        raise ValueError("spot must be > 0")
+    if not strike > 0.0:
+        raise ValueError("strike must be > 0")
+    if not vol >= 0.0:
+        raise ValueError("vol must be >= 0")
+    if not np.all(tau >= 0.0):
+        raise ValueError("tau must be >= 0")
+    if not math.isfinite(rate):
+        raise ValueError("rate must be finite")
+    if math.isinf(vol) or np.any(np.isinf(tau)):
+        raise ValueError("Black-Scholes value undefined for infinite vol or tau")
+
+
 def bs_price(s: float, strike: float, vol: float, rate: float, tau: float) -> float:
     """Black-Scholes value of a European call.
 
     At tau = 0 this is the payoff max(s - strike, 0); at vol = 0 it is the
     deterministic forward value max(s - strike * exp(-rate * tau), 0).
     """
-    if not s > 0.0:
-        raise ValueError("spot must be > 0")
-    if not strike > 0.0:
-        raise ValueError("strike must be > 0")
-    if vol < 0.0:
-        raise ValueError("vol must be >= 0")
-    if tau < 0.0:
-        raise ValueError("tau must be >= 0")
+    _check_bs_args(s, strike, vol, rate, tau)
     if vol == 0.0 or tau == 0.0:
         return max(s - strike * math.exp(-rate * tau), 0.0)
     srt = vol * math.sqrt(tau)
@@ -140,25 +152,16 @@ def bs_delta(s, strike: float, vol: float, rate: float, tau):
     """
     s_arr = np.asarray(s, dtype=float)
     tau_arr = np.asarray(tau, dtype=float)
-    if not np.all(s_arr > 0.0):
-        raise ValueError("spot must be > 0")
-    if not strike > 0.0:
-        raise ValueError("strike must be > 0")
-    if vol < 0.0:
-        raise ValueError("vol must be >= 0")
-    if not np.all(tau_arr >= 0.0):
-        raise ValueError("tau must be >= 0")
-    if not math.isfinite(rate):
-        raise ValueError("rate must be finite")
+    _check_bs_args(s_arr, strike, vol, rate, tau_arr)
     srt = vol * np.sqrt(tau_arr)
     with np.errstate(divide="ignore", invalid="ignore"):
         d1 = (np.log(s_arr / strike) + (rate + 0.5 * vol * vol) * tau_arr) / srt
-    # d1 is 0/0 on the kink, where srt = 0; inf/inf (infinite vol or tau)
-    # is no kink.
+    # d1 is 0/0 on the kink, where srt = 0. Off the kink a NaN is inf - inf
+    # (s / strike underflowing to 0 against vol * vol overflowing).
     kink = np.isnan(d1)
     if np.any(kink):
         if np.any(kink & (srt != 0.0)):
-            raise ValueError("delta undefined for infinite vol or tau")
+            raise ValueError("delta undefined: d1 is inf - inf")
         if np.any(kink & (tau_arr == 0.0)):
             raise ValueError("delta undefined at expiry on the strike (tau = 0 and s = strike)")
         d1 = np.where(kink, 0.0, d1)  # the vol -> 0 limit of d1 = srt / 2

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -16,6 +17,22 @@ def test_package_exports_are_the_readme_example_names():
     names = {name.strip() for name in block.split(",") if name.strip()}
     assert names == set(hedgelab.__all__)
     assert all(hasattr(hedgelab, name) for name in hedgelab.__all__)
+
+
+# `paths.csv` and `manifest.json` in README.md are output files, not attributes.
+OUTPUT_FILE_SUFFIXES = {"csv", "json"}
+
+
+def test_readme_module_references_resolve():
+    modules = {path.stem for path in SRC.glob("*.py")}
+    refs = re.findall(r"`(\w+)\.(\w+)", README.read_text())
+    checked = [(mod, name) for mod, name in refs if mod in modules and name not in OUTPUT_FILE_SUFFIXES]
+    assert checked
+    missing = [
+        f"{mod}.{name}" for mod, name in checked
+        if not hasattr(importlib.import_module(f"hedgelab.{mod}"), name)
+    ]
+    assert missing == []
 
 
 # Imported only so that the traced benchmark run can wrap them as

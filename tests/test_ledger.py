@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
+from hedgelab.accum import comp_cumsum
 from hedgelab.calculus import SampledSeries, SmoothFunction, ito_doblin_residual, ito_integral
 from hedgelab.ledger import (
     LEDGER_CSV_COLUMNS,
     enforce_self_financing,
-    gain_process,
     ito_expansion_terms,
-    portfolio_value,
     self_financing_defect,
     write_ledger_csv,
 )
@@ -29,44 +28,45 @@ def random_holdings(grid, rng):
                             rng.uniform(-2.0, 2.0, grid.n_points))
 
 
-def test_portfolio_value_hand_cases():
+def test_report_value_hand_cases():
     mp = hand_market([50.0, 50.0, 50.0])
     zero = buy_and_hold(mp.grid, 0.0, 0.0)
-    assert np.all(portfolio_value(zero, mp).values == 0.0)
+    assert np.all(self_financing_defect(zero, mp).value == 0.0)
 
     stock_only = buy_and_hold(mp.grid, 1.0, 0.0)
-    np.testing.assert_array_equal(portfolio_value(stock_only, mp).values, mp.stock)
+    np.testing.assert_array_equal(self_financing_defect(stock_only, mp).value, mp.stock)
 
     mixed = buy_and_hold(mp.grid, 2.0, 3.0)
-    assert np.all(portfolio_value(mixed, mp).values == 103.0)
+    assert np.all(self_financing_defect(mixed, mp).value == 103.0)
 
 
-def test_gain_process_hand_cases():
+def test_report_gain_hand_cases():
     mp = hand_market([100.0, 110.0, 105.0])
     hold = buy_and_hold(mp.grid, 1.0, 0.0)
-    np.testing.assert_allclose(gain_process(hold, mp).values, mp.stock - mp.stock[0], atol=1e-15)
+    np.testing.assert_allclose(self_financing_defect(hold, mp).gain, mp.stock - mp.stock[0], atol=1e-15)
 
     bond_only = buy_and_hold(mp.grid, 0.0, 1.0)
-    assert np.all(gain_process(bond_only, mp).values == 0.0)
+    assert np.all(self_financing_defect(bond_only, mp).gain == 0.0)
 
     varying = HoldingsSchedule(mp.grid, np.array([1.0, 2.0, 2.0]), np.zeros(3))
-    np.testing.assert_allclose(gain_process(varying, mp).values, [0.0, 10.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(self_financing_defect(varying, mp).gain, [0.0, 10.0, 0.0], atol=1e-15)
 
 
 def test_grid_mismatch_rejected():
     mp = make_market(steps=8)
     other = buy_and_hold(uniform_grid(1.0, 9), 1.0, 0.0)
-    for op in (portfolio_value, gain_process, self_financing_defect, ito_expansion_terms):
+    for op in (self_financing_defect, ito_expansion_terms):
         with pytest.raises(ValueError):
             op(other, mp)
 
 
 def test_buy_and_hold_has_zero_defect_and_terms():
     mp = make_market(seed=5)
-    rep = self_financing_defect(buy_and_hold(mp.grid, 2.0, -1.0), mp)
+    h = buy_and_hold(mp.grid, 2.0, -1.0)
+    rep = self_financing_defect(h, mp)
     assert np.max(np.abs(rep.defect)) <= 1e-9
-    for term in rep.step_terms:
-        assert np.all(term == 0.0)
+    for term in ito_expansion_terms(h, mp):
+        assert np.all(term.values == 0.0)
 
 
 def test_unfunded_rebalance_hand_ledger():
@@ -79,9 +79,10 @@ def test_unfunded_rebalance_hand_ledger():
     np.testing.assert_allclose(rep.gain, [0.0, 10.0, 0.0], atol=1e-15)
     np.testing.assert_allclose(rep.defect, [0.0, 110.0, 110.0], atol=1e-15)
     # per-step quadruple of the t_1 rebalance: S_0*da + da*dS = 100 + 10
-    assert rep.step_terms.s_da[0] == 100.0
-    assert rep.step_terms.da_ds[0] == 10.0
-    assert rep.step_terms.beta_db[0] == 0.0 and rep.step_terms.db_dbeta[0] == 0.0
+    s_da, da_ds, beta_db, db_dbeta = (t.values[1] for t in ito_expansion_terms(h, mp))
+    assert s_da == 100.0
+    assert da_ds == 10.0
+    assert beta_db == 0.0 and db_dbeta == 0.0
 
 
 def test_enforce_self_financing_hand_ledger():
@@ -156,11 +157,11 @@ def test_frozen_bond_defect_matches_two_routes():
     np.testing.assert_allclose(total, rep.defect, atol=1e-9)
 
 
-def test_gain_process_matches_ito_integral():
+def test_report_gain_matches_ito_integral():
     # two implementations, one answer
     mp = make_market(seed=23)
     h = random_holdings(mp.grid, np.random.default_rng(23))
-    g_ledger = gain_process(h, mp).values
+    g_ledger = self_financing_defect(h, mp).gain
     g_calc = (
         ito_integral(SampledSeries(mp.grid, h.a), SampledSeries(mp.grid, mp.stock)).values
         + ito_integral(SampledSeries(mp.grid, h.b), SampledSeries(mp.grid, mp.bond)).values
@@ -193,6 +194,26 @@ def test_ledger_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(cols["D"], rep.defect)
 
 
+@pytest.mark.parametrize("steps", [1, 64, 1024])
+@pytest.mark.parametrize("strategy", ["delta_hedge", "frozen_bond", "cash_injection"])
+def test_expansion_terms_are_compensated_sums_of_the_textbook_terms(strategy, steps, tmp_path):
+    mp = make_market(seed=steps, steps=steps)
+    h = delta_hedge(EuropeanCall(strike=100.0, expiry=1.0), mp, 0.2)
+    if strategy != "delta_hedge":
+        h = broken_strategy(h, strategy, amount=5.0, at_index=(steps + 1) // 2, path=mp)
+    da, db = np.diff(h.a), np.diff(h.b)
+    textbook = (mp.stock[:-1] * da, da * np.diff(mp.stock), mp.bond[:-1] * db, db * np.diff(mp.bond))
+    for series, term in zip(ito_expansion_terms(h, mp), textbook, strict=True):
+        assert series.values.tobytes() == comp_cumsum(term).tobytes()
+
+    # the CSV's term columns hold the same per-step terms, row 0 zero
+    dest = write_ledger_csv(h, mp, tmp_path / "ledger.csv")
+    data = np.loadtxt(dest, delimiter=",", skiprows=1, ndmin=2)
+    first = LEDGER_CSV_COLUMNS.index("term_Sda")
+    for col, term in zip(data.T[first:], textbook, strict=True):
+        assert col.tobytes() == np.concatenate(([0.0], term)).tobytes()
+
+
 # partials that ignore s, so no shape clash stops the batch before the check
 _LINEAR_IN_T = SmoothFunction(
     f=lambda t, s: t, df_dt=lambda t, s: 1.0, df_ds=lambda t, s: 0.0, d2f_ds2=lambda t, s: 0.0
@@ -204,14 +225,13 @@ _LINEAR_IN_T = SmoothFunction(
     [
         lambda mkt, h, dest: delta_hedge(EuropeanCall(100.0, 1.0), mkt, 0.2),
         lambda mkt, h, dest: constant_mix(mkt, 0.6, 100.0),
-        lambda mkt, h, dest: portfolio_value(h, mkt),
         lambda mkt, h, dest: self_financing_defect(h, mkt),
         lambda mkt, h, dest: ito_expansion_terms(h, mkt),
         lambda mkt, h, dest: write_ledger_csv(h, mkt, dest),
         lambda mkt, h, dest: ito_doblin_residual(_LINEAR_IN_T, mkt),
     ],
     ids=[
-        "delta_hedge", "constant_mix", "portfolio_value", "self_financing_defect",
+        "delta_hedge", "constant_mix", "self_financing_defect",
         "ito_expansion_terms", "write_ledger_csv", "ito_doblin_residual",
     ],
 )

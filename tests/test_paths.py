@@ -12,6 +12,7 @@ from hedgelab.paths import (
     refine,
     uniform_grid,
 )
+from hedgelab.strategies import inject_cash
 
 from conftest import make_market
 
@@ -252,8 +253,12 @@ def test_batch_underflow_is_rejected_like_market_path():
         lambda grid: refine(grid, generate_brownian(grid, 0), 2.9),
         lambda grid: generate_brownian(grid, 1.7),
         lambda grid: generate_brownian(grid, 1, 0.5),
+        lambda grid: inject_cash(np.zeros(5), np.ones(5), 1.0, 2.9),
     ],
-    ids=["uniform_grid steps", "refine factor", "generate_brownian seed", "generate_brownian path_index"],
+    ids=[
+        "uniform_grid steps", "refine factor", "generate_brownian seed", "generate_brownian path_index",
+        "inject_cash at_index",
+    ],
 )
 def test_integer_arguments_refuse_non_integers(call):
     # int() would truncate each of these to a valid but different request

@@ -197,3 +197,14 @@ def test_bs_delta_on_the_sigma_zero_kink_is_the_vol_limit():
         bs_delta(np.array([100.0, 120.0]), 100.0, 0.0, 0.0, np.array([0.0, 0.5]))
     with pytest.raises(ValueError, match="infinite"):
         bs_delta(100.0, 100.0, math.inf, 0.0, 1.0)  # inf/inf, not the kink
+
+
+@pytest.mark.parametrize("fn", [bs_price, bs_delta])
+@pytest.mark.parametrize(
+    "vol, rate, tau",
+    [(math.nan, 0.05, 1.0), (0.2, 0.05, math.nan), (0.2, math.nan, 1.0), (math.inf, 0.05, 1.0), (0.2, math.inf, 1.0)],
+    ids=["nan vol", "nan tau", "nan rate", "infinite vol", "infinite rate"],
+)
+def test_bs_price_and_delta_refuse_the_same_arguments(fn, vol, rate, tau):
+    with pytest.raises(ValueError):
+        fn(100.0, 100.0, vol, rate, tau)
