@@ -35,47 +35,101 @@ import math
 
 import numpy as np
 
-# Elements per row block. The block's two running-sum buffers stay in
-# cache, and peak memory is the output plus one block.
+# Elements per row block. The block's three work buffers stay in cache,
+# and peak memory is the output plus one block.
 BLOCK_ELEMENTS = 1 << 15
 
 
-def comp_cumsum(terms, axis: int = -1) -> np.ndarray:
+def _out(out, shape, *inputs) -> np.ndarray:
+    """`out` checked as the destination of a float64 result of `shape`, or a
+    new array when it is None.
+
+    A kernel that takes `out=` writes its result there instead of
+    allocating it, and returns `out` itself. A wrong shape or dtype, a
+    read-only array, or memory that may overlap an input raises ValueError
+    before anything is written: the kernels read their inputs after they
+    start writing, so an overlap would corrupt the result.
+    """
+    if out is None:
+        return np.empty(shape)
+    if not (isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == tuple(shape)):
+        raise ValueError(f"out must be a float64 array of shape {tuple(shape)}")
+    if not out.flags.writeable:
+        raise ValueError("out must be writeable")
+    if any(np.may_share_memory(out, x) for x in inputs):
+        raise ValueError("out must not overlap an input")
+    return out
+
+
+def _same_view(x: np.ndarray, y: np.ndarray) -> bool:
+    """Whether x and y are the same elements in the same layout: same shape
+    and strides, and first elements at one address (two aligned 8-byte
+    items share memory only then). Unaligned views answer False."""
+    if x.shape != y.shape or x.strides != y.strides or x.size == 0:
+        return False
+    if not (x.flags.aligned and y.flags.aligned):
+        return False
+    first = (slice(0, 1),) * x.ndim
+    return np.may_share_memory(x[first], y[first])
+
+
+def comp_cumsum(terms, axis: int = -1, out=None) -> np.ndarray:
     """Running compensated sums from zero: out[..., k] = sum(terms[..., :k]).
 
     Accepts any array-like of rank >= 1; the accumulation runs along `axis`
-    and is vectorized over the remaining axes. The result is a new float64
+    and is vectorized over the remaining axes. The result is a float64
     array with one more entry than `terms` along `axis`: out_0 = s_0 + c_0 =
     0.0, then the series bit-identical to running Neumaier's scalar loop on
-    each line.
+    each line. It is a new array, or `out` when given (see `_out`). `out`
+    may hold the terms themselves in its entries 1.. along `axis`, so a
+    caller can build the terms there and accumulate them in place; any
+    other overlap with `terms` raises.
     """
-    arr = np.asarray(terms, dtype=float).swapaxes(axis, -1)
+    full = np.asarray(terms, dtype=float)
+    arr = full.swapaxes(axis, -1)
     *lines, n = arr.shape
     m = math.prod(lines)  # lines to accumulate
     rows = arr.reshape(m, n)
-    out = np.empty((m, n + 1))
+    copy_back = False
+    if out is None:
+        flat = np.empty((m, n + 1))
+        result = flat.reshape(*lines, n + 1).swapaxes(axis, -1)
+    else:
+        shape = list(full.shape)
+        shape[axis] += 1
+        result = _out(out, shape)
+        swapped = result.swapaxes(axis, -1)
+        if np.may_share_memory(result, full) and not _same_view(swapped[..., 1:], arr):
+            raise ValueError("out must not overlap an input")
+        flat = swapped.reshape(m, n + 1)
+        copy_back = not np.may_share_memory(flat, result)  # lines that do not flatten in place
     b = max(1, min(BLOCK_ELEMENTS // (n + 1) + 1, m))  # rows per block
     s = np.zeros((b, n + 1))
     c = np.zeros((b, n + 1))
+    t = np.empty((b, n))
     prev, cur, e = s[:, :-1], s[:, 1:], c[:, 1:]
     # Overflow to inf and inf - inf are part of the recurrence's IEEE
     # semantics, as in the scalar loop, not errors to report.
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, m, b):
-            # Rows are independent: the last block is shifted back to end at
-            # row m, so every block has b rows and the overlap is rewritten
-            # with the same bits.
-            lo = min(lo, m - b)
-            x = rows[lo : lo + b]
-            d = out[lo : lo + b, 1:]  # working space until the block's result lands
+            hi = min(lo + b, m)
+            if hi - lo < b:  # rows are independent: the last block may be short
+                s, c, t = s[: hi - lo], c[: hi - lo], t[: hi - lo]
+                prev, cur, e = s[:, :-1], s[:, 1:], c[:, 1:]
+            # x may be the result's own rows (in place): every read of x
+            # comes before the block's result lands on them.
+            x = rows[lo:hi]
             cur[...] = x
+            np.abs(x, out=e)
             np.add.accumulate(s, axis=1, out=s)
-            big = np.abs(prev, out=d) >= np.abs(x, out=e)
-            np.subtract(prev, cur, out=d)
-            d += x  # (s_prev - s) + x
+            big = np.abs(prev, out=t) >= e
+            np.subtract(prev, cur, out=t)
+            t += x  # (s_prev - s) + x
             np.subtract(x, cur, out=e)
             e += prev  # (x - s) + s_prev
-            np.copyto(e, d, where=big)  # np.putmask would first copy the strided d
+            np.copyto(e, t, where=big)
             np.add.accumulate(c, axis=1, out=c)
-            np.add(s, c, out=out[lo : lo + b])
-    return out.reshape(*lines, n + 1).swapaxes(axis, -1)
+            np.add(s, c, out=flat[lo:hi])
+    if copy_back:
+        np.copyto(result, flat.reshape(*lines, n + 1).swapaxes(axis, -1))
+    return result

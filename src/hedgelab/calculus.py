@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .accum import comp_cumsum
-from .paths import MarketPath, TimeGrid, _readonly
+from .paths import MarketPath, TimeGrid, _Owned, _readonly
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,14 +57,14 @@ def ito_integral(integrand: SampledSeries, integrator: SampledSeries) -> Sampled
     """
     integrand.grid.require_same(integrator.grid)
     terms = integrand.values[:-1] * np.diff(integrator.values)
-    return SampledSeries(integrand.grid, comp_cumsum(terms))
+    return SampledSeries(integrand.grid, _Owned(comp_cumsum(terms)))
 
 
 def quadratic_covariation(x: SampledSeries, y: SampledSeries) -> SampledSeries:
     """Cumulative sum of increment products, C_{k+1} = C_k + dx_k * dy_k."""
     x.grid.require_same(y.grid)
     terms = np.diff(x.values) * np.diff(y.values)
-    return SampledSeries(x.grid, comp_cumsum(terms))
+    return SampledSeries(x.grid, _Owned(comp_cumsum(terms)))
 
 
 def ito_doblin_residual(f: SmoothFunction, path: MarketPath) -> float:

@@ -4,18 +4,22 @@ equal-rate-of-return (martingale) test, and hedging-error convergence.
 Paths are independent work units indexed by path number; every statistic
 is reduced in path-index order with deterministic numpy kernels, so a
 given ExperimentConfig always reproduces the same result rows bit for bit
-no matter how the work is scheduled. Each study simulates its paths in
-fixed blocks of consecutive path indices, one batch MarketPath a block
-(generate_brownian(grid, seed, range(...)), refine, gbm_path: the rows are
-bit for bit the single-path API's markets), and keeps only per-path
-scalars between blocks. It reduces those once, over all n_paths, so no
-output depends on the block size, and memory is one block plus the
-per-path scalars whatever n_paths is.
+whatever the block size or the order the blocks run in. Each study
+simulates its paths in fixed blocks of consecutive path indices, one batch
+MarketPath a block (generate_brownian(grid, seed, range(...)), refine,
+gbm_path: the rows are bit for bit the single-path API's markets), and
+keeps only per-path scalars between blocks. It reduces those once, over
+all n_paths, so no output depends on the block size, and memory is one
+block plus the per-path scalars whatever n_paths is.
 
-The studies run the path-axis kernels of the ledger and strategies modules
-(complete_bond, defect_series, constant_mix_holdings, delta_stock_holdings)
-on each block's (paths, n_points) stock array; the single-path API runs
-the same kernels on one path.
+One block loop, _per_path, runs the blocks of a study level. It allocates the
+level's block buffers once and reuses them for every block: the market is
+drawn and built in them without a copy, and the study's holdings and
+ledger series are written into its work arrays through the kernels' out=
+arguments (complete_bond, defect_series, constant_mix_holdings,
+delta_stock_holdings), the same kernels the single-path API runs on one
+path. A block's market and work arrays are valid only during that block:
+the next block rewrites them.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -137,84 +142,133 @@ def _verdict(rows) -> str:
 class StrategySpec:
     """A named holdings builder for the martingale test.
 
-    `build` maps a batch MarketPath to (a, b) holdings arrays, each either
-    (n_points,) shared across paths or (paths, n_points), for the paths of
-    the market it is given: one block of a study. Controls are
-    expected to violate the martingale band and are reported as
-    expected-fail when they do.
+    `build(mkt, out=None)` maps a batch MarketPath to (a, b) holdings
+    arrays, each either (n_points,) shared across paths or (paths,
+    n_points), for the paths of the market it is given: one block of a
+    study. `out`, when given, is a pair of (paths, n_points) float64 work
+    arrays that the build may fill with its holdings and return, instead of
+    allocating them. The market and `out` are valid only during the call:
+    the next block rewrites them. Controls are expected to violate the
+    martingale band and are reported as expected-fail when they do.
     """
 
     name: str
-    build: Callable[[MarketPath], tuple[np.ndarray, np.ndarray]]
+    build: Callable[..., tuple[np.ndarray, np.ndarray]]
     control: bool = False
 
 
-def _market(cfg: ExperimentConfig, grid: TimeGrid, factor: int, block: range, measure: str) -> MarketPath:
+def _market(cfg: ExperimentConfig, grid: TimeGrid, factor: int, block: range, measure: str, out=None) -> MarketPath:
     """The batch market of the path indices in `block`, on `grid` refined by
     `factor`. Path i uses the counter (cfg.seed, i); refinement keys extend
     it, so every level of a refinement study shares Brownian motion with the
     base resolution at the shared instants.
+
+    `out`, if given, is the pair of block buffers the chain runs in: the
+    base draw and the stock. The level's increments are drawn (or bridged)
+    into the stock's entries 1.., where gbm_path accumulates them in place.
     """
-    w = generate_brownian(grid, cfg.seed, block)
-    if factor > 1:
-        grid, w = refine(grid, w, factor)
-    return gbm_path(cfg.params, w, measure)
+    base, stock = (None, None) if out is None else out
+    level = None if stock is None else stock[:, 1:]
+    if factor == 1:
+        w = generate_brownian(grid, cfg.seed, block, out=level)
+    else:
+        grid, w = refine(grid, generate_brownian(grid, cfg.seed, block, out=base), factor, out=level)
+    return gbm_path(cfg.params, w, measure, out=stock)
 
 
-def _blocks(n_paths: int, n_points: int):
-    """Consecutive path-index ranges covering n_paths, BUDGET elements a block."""
-    size = max(1, BUDGET // n_points)
-    for start in range(0, n_paths, size):
-        yield range(start, min(start + size, n_paths))
+def _per_path(cfg: ExperimentConfig, factor: int, measure: str, fn, n_values: int, n_work: int = 0):
+    """Run fn on every block of one study level and gather its per-path values.
+
+    The level's grid is the base grid refined by `factor`, n_points points.
+    A block holds rows = min(max(1, BUDGET // n_points), n_paths)
+    consecutive path indices (fewer in the last). It allocates the
+    level's buffers once, rows paths each: the base draw, the stock (which
+    also holds the level's draw, see _market) and `n_work`
+    (rows, n_points) float64 work arrays. Every block reuses them, so no
+    block allocates, or faults in, block-sized memory again.
+
+    fn(mkt, work, out) gets the block's market, built on the buffers
+    without a copy, the row slices of the work arrays, and the block's
+    columns of the (n_values, n_paths) result to write its per-path values
+    into. The market and the work arrays are valid only during the call:
+    the next block rewrites them. fn returns (flag, head), a bool and any
+    block-level value.
+
+    Returns the (n_values, n_paths) values, the flags OR-ed over blocks and
+    the head of the first block, the one holding path 0.
+    """
+    grid = uniform_grid(cfg.horizon, cfg.base_steps)
+    n_steps = cfg.base_steps * factor
+    rows = min(max(1, BUDGET // (n_steps + 1)), cfg.n_paths)
+    base = np.empty((rows, cfg.base_steps)) if factor > 1 else None
+    stock = np.empty((rows, n_steps + 1))
+    work = [np.empty((rows, n_steps + 1)) for _ in range(n_work)]
+    values = np.empty((n_values, cfg.n_paths))
+    flag, head = False, None
+    for start in range(0, cfg.n_paths, rows):
+        block = range(start, min(start + rows, cfg.n_paths))
+        k = len(block)
+        mkt = _market(cfg, grid, factor, block, measure, (None if base is None else base[:k], stock[:k]))
+        moved, block_head = fn(mkt, [buf[:k] for buf in work], values[:, block.start : block.stop])
+        flag |= moved
+        if start == 0:
+            head = block_head
+    return values, flag, head
 
 
-def _delta_hedge(mkt: MarketPath, option: EuropeanCall, vol: float):
-    """Self-financing delta-hedge holdings (a, b) of every path, at volatility `vol`."""
-    a, y0 = delta_stock_holdings(option, mkt.stock, mkt.grid.times, mkt.rate, vol)
-    return a, complete_bond(a, mkt.stock, mkt.bond, y0)
+def _delta_hedge(mkt: MarketPath, option: EuropeanCall, vol: float, out=None):
+    """Self-financing delta-hedge holdings (a, b) of every path, at volatility
+    `vol`, in new arrays or in the pair `out`."""
+    a_out, b_out = (None, None) if out is None else out
+    a, y0 = delta_stock_holdings(option, mkt.stock, mkt.grid.times, mkt.rate, vol, out=a_out)
+    return a, complete_bond(a, mkt.stock, mkt.bond, y0, out=b_out)
 
 
-def _max_abs_defect(a: np.ndarray, b: np.ndarray, mkt: MarketPath) -> np.ndarray:
-    """max |D| of each path."""
-    # Indexing drops the value and gain series before np.abs allocates.
-    defect = defect_series(a, b, mkt.stock, mkt.bond)[2]
-    return np.max(np.abs(defect), axis=-1)
+def _max_abs_defect(a: np.ndarray, b: np.ndarray, mkt: MarketPath, series, out: np.ndarray) -> None:
+    """max |D| of each path into `out`; `series` holds the three work
+    arrays of defect_series."""
+    defect = defect_series(a, b, mkt.stock, mkt.bond, out=series)[2]
+    np.max(np.abs(defect, out=defect), axis=-1, out=out)
 
 
-# The per-block helpers below return only per-path scalars, so every
-# block-sized array they build dies on return, before the next block's.
+# The block functions below are the studies' fn for _per_path.
 
 
-def _block_defects(cfg: ExperimentConfig, base_grid: TimeGrid, factor: int, block: range):
+def _block_defects(cfg: ExperimentConfig, mkt: MarketPath, work, out):
     """Each path's max |D| for the enforced delta hedge and for its
     frozen-bond control, and whether any path of the block rebalances.
     """
-    mkt = _market(cfg, base_grid, factor, block, "physical")
-    a, b = _delta_hedge(mkt, cfg.hedge, cfg.params.sigma)
-    enforced = _max_abs_defect(a, b, mkt)
-    frozen = _max_abs_defect(a, np.broadcast_to(b[:, :1], b.shape), mkt)
-    return enforced, frozen, bool(np.any(np.diff(a, axis=-1) != 0.0))
+    a, b, *series = work
+    _delta_hedge(mkt, cfg.hedge, cfg.params.sigma, out=(a, b))
+    _max_abs_defect(a, b, mkt, series, out[0])
+    _max_abs_defect(a, np.broadcast_to(b[:, :1], b.shape), mkt, series, out[1])
+    return bool(np.any(a[:, 1:] != a[:, :-1])), None
 
 
-def _block_hedge_errors(cfg: ExperimentConfig, base_grid: TimeGrid, factor: int, block: range):
+def _block_hedge_errors(cfg: ExperimentConfig, mkt: MarketPath, work, out):
     """Each path's squared terminal error of the delta hedge against the payoff."""
-    mkt = _market(cfg, base_grid, factor, block, "physical")
-    a, b = _delta_hedge(mkt, cfg.hedge, cfg.params.sigma)
+    a, b = _delta_hedge(mkt, cfg.hedge, cfg.params.sigma, out=work)
     terminal = a[:, -1] * mkt.stock[:, -1] + b[:, -1] * mkt.bond[-1]
     payoff = np.maximum(mkt.stock[:, -1] - cfg.strike, 0.0)
-    return (terminal - payoff) ** 2
+    np.square(terminal - payoff, out=out[0])
+    return False, None
 
 
-def _discounted_terminal(spec: StrategySpec, mkt: MarketPath) -> tuple[float, np.ndarray]:
-    """Y_0 of the market's first path and Y_T / beta_T of each path. The
-    holdings die on return, so one strategy's are gone before the next
-    strategy's are built.
+def _discounted_terminal(spec: StrategySpec, mkt: MarketPath, work, out: np.ndarray) -> float:
+    """Y_T / beta_T of each path into `out`, and Y_0 of the market's first
+    path. The build gets the pair `work` for its holdings; one it allocates
+    itself dies on return, before the next strategy's is built.
     """
-    a, b = spec.build(mkt)
+    a, b = spec.build(mkt, out=work)
     a2 = np.broadcast_to(a, mkt.stock.shape)
     b2 = np.broadcast_to(b, mkt.stock.shape)
-    y0 = float(a2[0, 0] * mkt.stock[0, 0] + b2[0, 0] * mkt.bond[0])
-    return y0, (a2[:, -1] * mkt.stock[:, -1] + b2[:, -1] * mkt.bond[-1]) / mkt.bond[-1]
+    np.divide(a2[:, -1] * mkt.stock[:, -1] + b2[:, -1] * mkt.bond[-1], mkt.bond[-1], out=out)
+    return float(a2[0, 0] * mkt.stock[0, 0] + b2[0, 0] * mkt.bond[0])
+
+
+def _block_discounted(strategies: list[StrategySpec], mkt: MarketPath, work, out):
+    """Each path's Y_T / beta_T for each strategy, and the strategies' Y_0."""
+    return False, [_discounted_terminal(spec, mkt, work, row) for spec, row in zip(strategies, out)]
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +277,7 @@ def _discounted_terminal(spec: StrategySpec, mkt: MarketPath) -> tuple[float, np
 
 
 def buy_and_hold_spec(a0: float, b0: float) -> StrategySpec:
-    def build(mkt: MarketPath):
+    def build(mkt: MarketPath, out=None):
         n = mkt.grid.n_points
         return np.full(n, float(a0)), np.full(n, float(b0))
 
@@ -231,15 +285,15 @@ def buy_and_hold_spec(a0: float, b0: float) -> StrategySpec:
 
 
 def constant_mix_spec(stock_weight: float, initial_wealth: float) -> StrategySpec:
-    def build(mkt: MarketPath):
-        return constant_mix_holdings(mkt.stock, mkt.bond, stock_weight, initial_wealth)
+    def build(mkt: MarketPath, out=None):
+        return constant_mix_holdings(mkt.stock, mkt.bond, stock_weight, initial_wealth, out=out)
 
     return StrategySpec(f"constant_mix(w={stock_weight:g})", build)
 
 
 def delta_hedge_spec(option: EuropeanCall, vol: float) -> StrategySpec:
-    def build(mkt: MarketPath):
-        return _delta_hedge(mkt, option, vol)
+    def build(mkt: MarketPath, out=None):
+        return _delta_hedge(mkt, option, vol, out=out)
 
     return StrategySpec(f"delta_hedge(K={option.strike:g})", build)
 
@@ -249,7 +303,7 @@ def cash_injection_spec(
 ) -> StrategySpec:
     """Buy-and-hold plus external money appearing at one rebalance (control)."""
 
-    def build(mkt: MarketPath):
+    def build(mkt: MarketPath, out=None):
         n = mkt.grid.n_points
         j = n // 2 if at_index is None else at_index
         return np.full(n, float(a0)), inject_cash(np.full(n, float(b0)), mkt.bond, amount, j)
@@ -273,23 +327,18 @@ def defect_refinement_study(cfg: ExperimentConfig) -> ExperimentResult:
     """
     tol = DEFAULT_TOLERANCES["defect"]
     control_bar = DEFAULT_TOLERANCES["control_factor"] * tol
-    base_grid = uniform_grid(cfg.horizon, cfg.base_steps)
+    fn = partial(_block_defects, cfg)
     rows = []
     for factor in cfg.refinement_factors:
         n_steps = cfg.base_steps * factor
-        enforced = np.empty(cfg.n_paths)
-        frozen = np.empty(cfg.n_paths)
-        rebalances = False
-        for block in _blocks(cfg.n_paths, n_steps + 1):
-            at = slice(block.start, block.stop)
-            enforced[at], frozen[at], moved = _block_defects(cfg, base_grid, factor, block)
-            rebalances |= moved
-
+        (enforced, frozen), rebalances, _ = _per_path(cfg, factor, "physical", fn, 2, n_work=5)
         max_enforced = float(np.max(enforced))
+        max_frozen = float(np.max(frozen))
+        del enforced, frozen  # freed before the next level's buffers are allocated
+
         status = "pass" if max_enforced <= tol else "fail"
         rows.append(ResultRow(f"N={n_steps} enforced", max_enforced, 0.0, status))
 
-        max_frozen = float(np.max(frozen))
         if not rebalances:
             status = "pass"  # nothing to break: control is vacuous
         elif max_frozen > control_bar:
@@ -314,15 +363,8 @@ def martingale_test(cfg: ExperimentConfig, strategies: list[StrategySpec]) -> Ex
         raise ValueError("martingale test needs n_paths >= 2 for a standard error")
     mult = DEFAULT_TOLERANCES["stderr_mult"]
     atol = DEFAULT_TOLERANCES["value_atol"]
-    grid = uniform_grid(cfg.horizon, cfg.base_steps)
-    y0s = [0.0] * len(strategies)
-    discounted = np.empty((len(strategies), cfg.n_paths))
-    for block in _blocks(cfg.n_paths, grid.n_points):
-        mkt = _market(cfg, grid, 1, block, "risk_neutral")
-        for j, spec in enumerate(strategies):
-            y0, discounted[j, block.start : block.stop] = _discounted_terminal(spec, mkt)
-            if block.start == 0:
-                y0s[j] = y0  # Y_0 is path 0's
+    fn = partial(_block_discounted, strategies)
+    discounted, _, y0s = _per_path(cfg, 1, "risk_neutral", fn, len(strategies), n_work=2)  # Y_0 is path 0's
     rows = []
     for spec, y0, values in zip(strategies, y0s, discounted):
         estimate = float(np.mean(values))
@@ -348,20 +390,19 @@ def hedging_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     if len(cfg.refinement_factors) < 3:
         raise ValueError("need at least 3 refinement levels to fit a slope")
     atol = DEFAULT_TOLERANCES["value_atol"]
-    base_grid = uniform_grid(cfg.horizon, cfg.base_steps)
+    fn = partial(_block_hedge_errors, cfg)
     rows = []
     counts = []
     rms_values = []
     for factor in cfg.refinement_factors:
         n_steps = cfg.base_steps * factor
-        err_sq = np.empty(cfg.n_paths)
-        for block in _blocks(cfg.n_paths, n_steps + 1):
-            err_sq[block.start : block.stop] = _block_hedge_errors(cfg, base_grid, factor, block)
+        (err_sq,), _, _ = _per_path(cfg, factor, "physical", fn, 1, n_work=2)
         rms = math.sqrt(float(np.mean(err_sq)))
         if rms > 0.0 and cfg.n_paths > 1:
             stderr = float(np.std(err_sq, ddof=1)) / (2.0 * rms * math.sqrt(cfg.n_paths))
         else:
             stderr = 0.0
+        del err_sq  # freed before the next level's buffers are allocated
         counts.append(n_steps)
         rms_values.append(rms)
         rows.append(ResultRow(f"N={n_steps}", rms, stderr, "pass"))

@@ -30,9 +30,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .accum import comp_cumsum
+from .accum import _out, comp_cumsum
 from .calculus import SampledSeries
-from .paths import MarketPath, TimeGrid, _readonly
+from .paths import MarketPath, TimeGrid, _Owned, _readonly
 from .strategies import HoldingsSchedule
 
 LEDGER_CSV_COLUMNS = (
@@ -64,27 +64,47 @@ class LedgerReport:
 # same IEEE operations as a 1-D call.
 
 
-def defect_series(a, b, stock, bond) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Value Y = a S + b beta, gain G and cumulative defect D = Y - Y_0 - G.
+def defect_series(a, b, stock, bond, out=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Value Y = a S + b beta, gain G and cumulative defect D = Y - Y_0 - G,
+    in three new arrays or in the three of `out` (see accum._out).
 
     G_0 = 0, G_{k+1} = G_k + a_k * dS_k + b_k * dbeta_k, along the last axis.
     """
-    value = a * stock + b * bond
-    # The gain's step terms are a temporary of the call, freed before D is built.
-    gain = comp_cumsum(a[..., :-1] * np.diff(stock, axis=-1) + b[..., :-1] * np.diff(bond), axis=-1)
-    return value, gain, value - value[..., :1] - gain
+    shape = np.broadcast(a, b, stock).shape
+    value, gain, defect = (None, None, None) if out is None else out
+    value = _out(value, shape, a, b, stock, bond)
+    defect = _out(defect, shape, a, b, stock, bond, value)
+    if gain is not None:  # comp_cumsum allocates it otherwise
+        _out(gain, shape, a, b, stock, bond, value, defect)
+    # The gain's step terms a dS + b dbeta are built in the defect's entries
+    # (the b dbeta half in the value's), each product with its operands
+    # swapped (IEEE * commutes), so no path-sized temporary is allocated.
+    steps = np.subtract(stock[..., 1:], stock[..., :-1], out=defect[..., :-1])  # dS
+    steps *= a[..., :-1]
+    steps += np.multiply(b[..., :-1], np.diff(bond), out=value[..., :-1])
+    gain = comp_cumsum(steps, axis=-1, out=gain)
+    np.multiply(a, stock, out=value)
+    value += np.multiply(b, bond, out=defect)
+    np.subtract(value, value[..., :1], out=defect)
+    defect -= gain
+    return value, gain, defect
 
 
-def complete_bond(a, stock, bond, y0: float) -> np.ndarray:
-    """The unique self-financing bond holdings for stock holdings `a`.
+def complete_bond(a, stock, bond, y0: float, out=None) -> np.ndarray:
+    """The unique self-financing bond holdings for stock holdings `a`, in a
+    new array or in `out` (see accum._out).
 
     b_0 = (y0 - a_0 * S_0) / beta_0, and every rebalance transfers value
     between the accounts at the new prices:
     b_{k+1} = b_k + (a_k - a_{k+1}) * S_{k+1} / beta_{k+1}.
     """
-    transfers = (a[..., :-1] - a[..., 1:]) * stock[..., 1:] / bond[1:]
+    b = _out(out, np.broadcast(a, stock).shape, a, stock, bond)
+    # The transfers are built in b's entries 1.. and accumulated in place.
+    transfers = np.subtract(a[..., :-1], a[..., 1:], out=b[..., 1:])
+    transfers *= stock[..., 1:]
+    transfers /= bond[1:]
     b0 = (float(y0) - a[..., 0] * stock[..., 0]) / bond[0]
-    b = comp_cumsum(transfers, axis=-1)
+    comp_cumsum(transfers, axis=-1, out=b)
     b += b0[..., None]  # bitwise b0 + sum: IEEE + commutes
     b[..., 0] = b0  # 0.0 + b0 would turn a -0.0 start into +0.0
     return b
@@ -106,7 +126,7 @@ def self_financing_defect(h: HoldingsSchedule, m: MarketPath) -> LedgerReport:
     the sum of the four `ito_expansion_terms` (exact discrete product rule).
     """
     h.grid.require_same(m.grid)
-    return LedgerReport(h.grid, *defect_series(h.a, h.b, m.stock, m.bond))
+    return LedgerReport(h.grid, *map(_Owned, defect_series(h.a, h.b, m.stock, m.bond)))
 
 
 def ito_expansion_terms(
@@ -120,7 +140,7 @@ def ito_expansion_terms(
     without being individually zero.
     """
     h.grid.require_same(m.grid)
-    return tuple(SampledSeries(h.grid, series) for series in comp_cumsum(_step_terms(h, m)))
+    return tuple(SampledSeries(h.grid, _Owned(series)) for series in comp_cumsum(_step_terms(h, m)))
 
 
 def enforce_self_financing(a: SampledSeries, m: MarketPath, y0: float) -> HoldingsSchedule:
@@ -129,7 +149,7 @@ def enforce_self_financing(a: SampledSeries, m: MarketPath, y0: float) -> Holdin
     compensated-summation rounding.
     """
     a.grid.require_same(m.grid)
-    return HoldingsSchedule(m.grid, a.values, complete_bond(a.values, m.stock, m.bond, y0))
+    return HoldingsSchedule(m.grid, a.values, _Owned(complete_bond(a.values, m.stock, m.bond, y0)))
 
 
 def write_ledger_csv(h: HoldingsSchedule, m: MarketPath, dest) -> Path:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accum import comp_cumsum
+from .accum import _out, comp_cumsum
 
 # Salt mixed into the bridge RNG stream so refinement noise can never
 # collide with the base increment stream for any (seed, path_index).
@@ -53,8 +53,22 @@ def _integer(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+class _Owned:
+    """A float64 array the library has just built, handed to a value type's
+    constructor without the copy a caller's array gets: nothing else writes
+    it. The object keeps a read-only view of it, so an object built on a
+    buffer (`out=` of generate_brownian, refine and gbm_path, a study
+    block's buffers) is valid only until that buffer is rewritten."""
+
+    __slots__ = ("values",)
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+
+
 def _readonly(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+    """A read-only copy of `values`, or a read-only view of an `_Owned` array."""
+    arr = values.values.view() if isinstance(values, _Owned) else np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
 
@@ -240,8 +254,9 @@ def _pcg64_states(entropy: list[np.ndarray]):
         yield ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128, inc
 
 
-def _keyed_normals(key: tuple, shape: tuple) -> np.ndarray:
-    """Standard normals from the stream of default_rng(list(key)).
+def _keyed_normals(key: tuple, shape: tuple, out=None) -> np.ndarray:
+    """Standard normals from the stream of default_rng(list(key)), in a new
+    array or in `out` (C-contiguous rows; see accum._out).
 
     One entry of `key` may be an integer array of path indices instead of
     an int: the result then stacks one stream per index along a new
@@ -249,8 +264,11 @@ def _keyed_normals(key: tuple, shape: tuple) -> np.ndarray:
     """
     batch = [k for k in key if isinstance(k, np.ndarray)]
     if not batch:
-        return np.random.default_rng([int(k) for k in key]).standard_normal(shape)
+        out = _out(out, shape)
+        np.random.default_rng([int(k) for k in key]).standard_normal(out=out)
+        return out
     (n_paths,) = batch[0].shape
+    out = _out(out, (n_paths, *shape))
     entropy = []
     for k in key:
         if isinstance(k, np.ndarray):
@@ -261,7 +279,6 @@ def _keyed_normals(key: tuple, shape: tuple) -> np.ndarray:
             entropy.extend(np.full(n_paths, w, dtype=np.uint32) for w in _uint32_words(int(k)))
     bitgen = np.random.PCG64(0)
     gen = np.random.Generator(bitgen)
-    out = np.empty((n_paths, *shape))
     for row, (state, inc) in zip(out, _pcg64_states(entropy)):
         bitgen.state = {
             "bit_generator": "PCG64",
@@ -273,27 +290,30 @@ def _keyed_normals(key: tuple, shape: tuple) -> np.ndarray:
     return out
 
 
-def generate_brownian(grid: TimeGrid, seed: int, path_index: int | range = 0) -> BrownianPath:
+def generate_brownian(grid: TimeGrid, seed: int, path_index: int | range = 0, *, out=None) -> BrownianPath:
     """Draw the increment sequence for one path, or for a range of paths.
 
     The stream is keyed by (seed, path_index): the same pair always yields
     bit-identical increments, and distinct pairs yield independent streams,
     regardless of call order or thread schedule. A range of path indices
     gives the batch BrownianPath whose row j is bit for bit the draw of
-    path index path_index[j].
+    path index path_index[j]. Given `out` (see accum._out), the increments
+    are drawn into it and the BrownianPath is built on it without a copy,
+    so it is valid only until `out` is rewritten.
     """
     if isinstance(path_index, range):
         index = np.arange(path_index.start, path_index.stop, path_index.step)
     else:
         index = _integer("path_index", path_index)
     key = (_integer("seed", seed), index)
-    z = _keyed_normals(key, (grid.n_points - 1,))
+    z = _keyed_normals(key, (grid.n_points - 1,), out)
     z *= np.sqrt(grid.dt)
-    return BrownianPath(grid, z, key=key)
+    return BrownianPath(grid, _Owned(z), key=key)
 
 
-def _gbm_stock(params: GbmParams, w: BrownianPath, measure: str) -> np.ndarray:
-    """s0 * exp((d - sigma^2/2) * t_k + sigma * W_k) for one path or a batch."""
+def _gbm_stock(params: GbmParams, w: BrownianPath, measure: str, out=None) -> np.ndarray:
+    """s0 * exp((d - sigma^2/2) * t_k + sigma * W_k) for one path or a batch,
+    in a new array or in `out` (see accum._out)."""
     if measure == "physical":
         drift = params.mu
     elif measure == "risk_neutral":
@@ -301,7 +321,7 @@ def _gbm_stock(params: GbmParams, w: BrownianPath, measure: str) -> np.ndarray:
     else:
         raise ValueError(f"measure must be 'physical' or 'risk_neutral', got {measure!r}")
     t = w.grid.times
-    x = comp_cumsum(w.increments, axis=-1)
+    x = comp_cumsum(w.increments, axis=-1, out=out)
     # In place, with each product and sum's operands swapped: IEEE + and *
     # commute, so this is bitwise the textbook formula.
     x *= params.sigma
@@ -311,18 +331,22 @@ def _gbm_stock(params: GbmParams, w: BrownianPath, measure: str) -> np.ndarray:
     return x
 
 
-def gbm_path(params: GbmParams, w: BrownianPath, measure: str) -> MarketPath:
+def gbm_path(params: GbmParams, w: BrownianPath, measure: str, *, out=None) -> MarketPath:
     """Exact-scheme GBM stock path plus deterministic bond path.
 
     measure: "physical" uses drift mu, "risk_neutral" substitutes r.
     S_k = s0 * exp((d - sigma^2/2) * t_k + sigma * W_k) reproduces the
     step recurrence S_{k+1} = S_k * exp((d - sigma^2/2) dt_k + sigma dW_k)
     without compounding per-step rounding. A batch `w` gives the batch
-    market of its paths.
+    market of its paths. Given `out` (see accum._out), the stock is built
+    in it and the MarketPath holds it without a copy, so it is valid only
+    until `out` is rewritten.
     """
-    stock = _gbm_stock(params, w, measure)
-    bond = np.exp(params.r * w.grid.times)
-    return MarketPath(grid=w.grid, stock=stock, bond=bond, rate=params.r)
+    # An overflow to inf is reported once, by MarketPath's positive-and-finite checks.
+    with np.errstate(over="ignore"):
+        stock = _gbm_stock(params, w, measure, out)
+        bond = np.exp(params.r * w.grid.times)
+    return MarketPath(grid=w.grid, stock=_Owned(stock), bond=_Owned(bond), rate=params.r)
 
 
 def _bridge(xi: np.ndarray, h: np.ndarray, increments: np.ndarray) -> np.ndarray:
@@ -338,14 +362,17 @@ def _bridge(xi: np.ndarray, h: np.ndarray, increments: np.ndarray) -> np.ndarray
     return xi
 
 
-def refine(grid: TimeGrid, w: BrownianPath, factor: int) -> tuple[TimeGrid, BrownianPath]:
+def refine(grid: TimeGrid, w: BrownianPath, factor: int, *, out=None) -> tuple[TimeGrid, BrownianPath]:
     """Split every interval into `factor` pieces, bridging the increments.
 
     The sub-increments of each original step are drawn conditionally on
     summing to the original increment (Brownian bridge), so the refined
     path and the coarse path describe the same Brownian motion at shared
     instants. Original knots are kept bitwise in the new grid. A batch `w`
-    is refined path by path, each with its own bridge stream.
+    is refined path by path, each with its own bridge stream. Given `out`
+    (see accum._out), the sub-increments are drawn and bridged in it, and
+    the refined BrownianPath is built on it without a copy, so it is valid
+    only until `out` is rewritten.
     """
     grid.require_same(w.grid)
     m = _integer("factor", factor)
@@ -354,10 +381,13 @@ def refine(grid: TimeGrid, w: BrownianPath, factor: int) -> tuple[TimeGrid, Brow
     n_steps = grid.n_points - 1
     h = grid.dt
     key = (*w.key, m)
-    sub = _bridge(_keyed_normals((_BRIDGE_SALT, *key), (n_steps, m)), h, w.increments)
+    lead = w.increments.shape[:-1]
+    sub = _out(out, (*lead, n_steps * m), w.increments)
+    xi = np.reshape(sub, (*lead, n_steps, m), copy=False)  # raises unless a view
+    _bridge(_keyed_normals((_BRIDGE_SALT, *key), (n_steps, m), xi), h, w.increments)
 
     offsets = np.arange(m) / m
     fine = grid.times[:-1, None] + h[:, None] * offsets[None, :]
     times = np.append(fine.reshape(-1), grid.times[-1])
     new_grid = TimeGrid(times)
-    return new_grid, BrownianPath(new_grid, sub.reshape(*w.increments.shape[:-1], -1), key=key)
+    return new_grid, BrownianPath(new_grid, _Owned(sub), key=key)

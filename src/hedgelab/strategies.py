@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
+from .accum import _out
 from .calculus import SampledSeries
-from .paths import MarketPath, TimeGrid, _integer, _readonly
+from .paths import MarketPath, TimeGrid, _integer, _Owned, _readonly
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -57,7 +58,7 @@ class EuropeanCall:
 def buy_and_hold(grid: TimeGrid, a0: float, b0: float) -> HoldingsSchedule:
     """Constant holdings; trivially self-financing (no rebalances)."""
     n = grid.n_points
-    return HoldingsSchedule(grid, np.full(n, float(a0)), np.full(n, float(b0)))
+    return HoldingsSchedule(grid, _Owned(np.full(n, float(a0))), _Owned(np.full(n, float(b0))))
 
 
 # Kernels: stock is one path (n_points,) or a batch (..., n_points); bond
@@ -65,12 +66,14 @@ def buy_and_hold(grid: TimeGrid, a0: float, b0: float) -> HoldingsSchedule:
 # as a 1-D call.
 
 
-def constant_mix_holdings(stock, bond, w: float, wealth0: float) -> tuple[np.ndarray, np.ndarray]:
+def constant_mix_holdings(stock, bond, w: float, wealth0: float, out=None) -> tuple[np.ndarray, np.ndarray]:
     """Holdings (a, b) that rebalance to stock fraction w of the wealth at
-    every grid point, starting from wealth0."""
+    every grid point, starting from wealth0, in two new arrays or in the
+    pair `out` (see accum._out)."""
     w = float(w)
-    a = np.empty(stock.shape)
-    b = np.empty(stock.shape)
+    a_out, b_out = (None, None) if out is None else out
+    a = _out(a_out, np.shape(stock), stock, bond)
+    b = _out(b_out, np.shape(stock), stock, bond, a)
     wealth = float(wealth0)
     a[..., 0] = w * wealth / stock[..., 0]
     b[..., 0] = (1.0 - w) * wealth / bond[0]
@@ -102,7 +105,7 @@ def constant_mix(path: MarketPath, stock_weight: float, initial_wealth: float) -
     up to floating-point rounding.
     """
     a, b = constant_mix_holdings(path.stock, path.bond, stock_weight, initial_wealth)
-    return HoldingsSchedule(path.grid, a, b)
+    return HoldingsSchedule(path.grid, _Owned(a), _Owned(b))
 
 
 def _check_bs_args(s, strike: float, vol: float, rate: float, tau) -> None:
@@ -139,8 +142,9 @@ def bs_price(s: float, strike: float, vol: float, rate: float, tau: float) -> fl
     return s * _norm_cdf(d1) - strike * math.exp(-rate * tau) * _norm_cdf(d2)
 
 
-def bs_delta(s, strike: float, vol: float, rate: float, tau):
-    """Call delta Phi(d1), elementwise over spot/expiry arrays.
+def bs_delta(s, strike: float, vol: float, rate: float, tau, out=None):
+    """Call delta Phi(d1), elementwise over spot/expiry arrays, in a new
+    array (a float for scalar arguments) or in `out` (see accum._out).
 
     Degenerate limits resolve by sign: when vol * sqrt(tau) = 0 the delta
     is the indicator of s > strike * exp(-rate * tau). Exactly on that kink
@@ -154,8 +158,13 @@ def bs_delta(s, strike: float, vol: float, rate: float, tau):
     tau_arr = np.asarray(tau, dtype=float)
     _check_bs_args(s_arr, strike, vol, rate, tau_arr)
     srt = vol * np.sqrt(tau_arr)
+    d1 = _out(out, np.broadcast(s_arr, tau_arr).shape, s_arr, tau_arr)
+    # (log(s / strike) + (rate + vol^2 / 2) * tau) / srt, one operation at a time in d1.
     with np.errstate(divide="ignore", invalid="ignore"):
-        d1 = (np.log(s_arr / strike) + (rate + 0.5 * vol * vol) * tau_arr) / srt
+        np.divide(s_arr, strike, out=d1)
+        np.log(d1, out=d1)
+        d1 += (rate + 0.5 * vol * vol) * tau_arr
+        d1 /= srt
     # d1 is 0/0 on the kink, where srt = 0. Off the kink a NaN is inf - inf
     # (s / strike underflowing to 0 against vol * vol overflowing).
     kink = np.isnan(d1)
@@ -164,13 +173,14 @@ def bs_delta(s, strike: float, vol: float, rate: float, tau):
             raise ValueError("delta undefined: d1 is inf - inf")
         if np.any(kink & (tau_arr == 0.0)):
             raise ValueError("delta undefined at expiry on the strike (tau = 0 and s = strike)")
-        d1 = np.where(kink, 0.0, d1)  # the vol -> 0 limit of d1 = srt / 2
-    out = ndtr(d1)
-    return float(out) if np.ndim(s) == 0 and np.ndim(tau) == 0 else out
+        d1[kink] = 0.0  # the vol -> 0 limit of d1 = srt / 2
+    ndtr(d1, out=d1)
+    return float(d1) if out is None and d1.ndim == 0 else d1
 
 
-def delta_stock_holdings(option: EuropeanCall, stock, times, rate: float, vol: float):
-    """Delta stock holdings a and the Black-Scholes price y0 of the call.
+def delta_stock_holdings(option: EuropeanCall, stock, times, rate: float, vol: float, out=None):
+    """Delta stock holdings a, in a new array or in `out` (see accum._out),
+    and the Black-Scholes price y0 of the call.
 
     a_k = bs_delta(S_k, strike, vol, rate, T - t_k) over each interval; the
     last interval uses the time-to-expiry at its start. y0 is priced at the
@@ -178,8 +188,9 @@ def delta_stock_holdings(option: EuropeanCall, stock, times, rate: float, vol: f
     """
     if not math.isclose(option.expiry, float(times[-1]), rel_tol=1e-12, abs_tol=0.0):
         raise ValueError("option expiry must equal the grid horizon")
-    head = bs_delta(stock[..., :-1], option.strike, vol, rate, option.expiry - times[:-1])
-    a = np.concatenate([head, head[..., -1:]], axis=-1)
+    a = _out(out, np.shape(stock), stock, times)
+    bs_delta(stock[..., :-1], option.strike, vol, rate, option.expiry - times[:-1], out=a[..., :-1])
+    a[..., -1] = a[..., -2]
     y0 = bs_price(float(stock.flat[0]), option.strike, vol, rate, option.expiry)
     return a, y0
 
@@ -193,7 +204,7 @@ def delta_hedge(option: EuropeanCall, path: MarketPath, vol: float) -> HoldingsS
 
     from .ledger import enforce_self_financing  # deferred: ledger imports this module
 
-    return enforce_self_financing(SampledSeries(path.grid, a), path, y0)
+    return enforce_self_financing(SampledSeries(path.grid, _Owned(a)), path, y0)
 
 
 def broken_strategy(
@@ -212,12 +223,12 @@ def broken_strategy(
     bond price.
     """
     if mode == "frozen_bond":
-        return HoldingsSchedule(base.grid, base.a, np.full_like(base.b, base.b[0]))
+        return HoldingsSchedule(base.grid, base.a, _Owned(np.full_like(base.b, base.b[0])))
     if mode == "cash_injection":
         if path is None:
             raise ValueError("cash_injection needs the market path for the bond price")
         base.grid.require_same(path.grid)
-        return HoldingsSchedule(base.grid, base.a, inject_cash(base.b, path.bond, amount, at_index))
+        return HoldingsSchedule(base.grid, base.a, _Owned(inject_cash(base.b, path.bond, amount, at_index)))
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -2,7 +2,10 @@ import contextlib
 import csv
 import dataclasses
 import io
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -305,6 +308,27 @@ def test_main_simulate_stock_underflow_exits_two_without_traceback(tmp_path, cap
     assert "Traceback" not in err
     (line,) = err.strip().splitlines()
     assert line == "error: stock values must be positive and finite"
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [("verify", "mu = 1e308\n"), ("martingale", "r = 800\n")],
+    ids=["stock-overflow", "bond-overflow"],
+)
+def test_overflow_exits_two_with_one_stderr_line(tmp_path, command, config):
+    # A fresh interpreter: pytest's own warning capture would hide numpy's
+    # RuntimeWarning lines, which are what this checks for.
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(config + "n_paths = 8\nbase_steps = 4\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "hedgelab", command, "--config", str(cfg_file), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error:")
 
 
 def test_main_failed_simulate_leaves_no_output(tmp_path, capsys):

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hedgelab import experiments
+from hedgelab import accum, experiments
 from hedgelab.experiments import (
     DEFAULT_TOLERANCES,
     ExperimentConfig,
@@ -236,7 +236,7 @@ def test_martingale_property_for_random_enforced_schedules():
         thresholds = np.sort(meta_rng.uniform(80.0, 120.0, size=3))
         levels = meta_rng.uniform(-1.5, 1.5, size=4)
 
-        def build(mkt, thresholds=thresholds, levels=levels):
+        def build(mkt, out=None, thresholds=thresholds, levels=levels):
             a = levels[np.searchsorted(thresholds, mkt.stock)]
             a[:, -1] = a[:, -2]
             b = complete_bond(a, mkt.stock, mkt.bond, 100.0)
@@ -399,3 +399,96 @@ def test_study_memory_grows_only_by_its_per_path_scalars(monkeypatch, name, kept
     small = _peak_bytes(lambda: study(small_cfg(n_paths=500)))
     growth = _peak_bytes(lambda: study(small_cfg(n_paths=5000))) - small
     assert growth <= allowance, f"peak grew by {growth} B > {allowance} B"
+
+
+def _single_path_market(cfg, factor, i, measure):
+    grid = uniform_grid(cfg.horizon, cfg.base_steps)
+    w = generate_brownian(grid, cfg.seed, i)
+    if factor > 1:
+        grid, w = refine(grid, w, factor)
+    return gbm_path(cfg.params, w, measure)
+
+
+def _defect_oracle(cfg, factor, i):
+    mp = _single_path_market(cfg, factor, i, "physical")
+    h = delta_hedge(cfg.hedge, mp, cfg.params.sigma)
+    frozen = broken_strategy(h, "frozen_bond")
+    return [np.max(np.abs(self_financing_defect(x, mp).defect)) for x in (h, frozen)]
+
+
+def _hedge_oracle(cfg, factor, i):
+    mp = _single_path_market(cfg, factor, i, "physical")
+    h = delta_hedge(cfg.hedge, mp, cfg.params.sigma)
+    terminal = h.a[-1] * mp.stock[-1] + h.b[-1] * mp.bond[-1]
+    return [np.square(terminal - np.maximum(mp.stock[-1] - cfg.strike, 0.0))]
+
+
+def _martingale_oracle(cfg, factor, i):
+    # The default roster, strategy by strategy, through the single-path API.
+    mp = _single_path_market(cfg, factor, i, "risk_neutral")
+    grid = mp.grid
+    schedules = [
+        buy_and_hold(grid, 1.0, 0.0),
+        constant_mix(mp, 0.6, cfg.params.s0),
+        delta_hedge(cfg.hedge, mp, cfg.params.sigma),
+        broken_strategy(
+            buy_and_hold(grid, 1.0, 0.0), "cash_injection", amount=10.0, at_index=grid.n_points // 2, path=mp
+        ),
+    ]
+    return [self_financing_defect(h, mp).value[-1] / mp.bond[-1] for h in schedules]
+
+
+@pytest.mark.parametrize(
+    "study, factors, oracle",
+    [
+        (defect_refinement_study, (1, 2, 3), _defect_oracle),
+        (hedging_convergence, (1, 2, 3), _hedge_oracle),
+        (lambda cfg: martingale_test(cfg, _default_martingale_roster(cfg)), (1,), _martingale_oracle),
+    ],
+    ids=_STUDIES.keys(),
+)
+def test_per_path_values_are_the_single_path_apis(monkeypatch, study, factors, oracle):
+    # 23 paths on 9-, 17- and 25-point grids with BUDGET 100: 11, 5 and 4
+    # paths a block, so every level has three or more blocks and a short
+    # last one. A row left over from the previous block would show here.
+    # 64-element comp_cumsum blocks split each study block's rows again.
+    cfg = small_cfg(n_paths=23, base_steps=8, refinement_factors=(1, 2, 3))
+    monkeypatch.setattr(experiments, "BUDGET", 100)
+    monkeypatch.setattr(accum, "BLOCK_ELEMENTS", 64)
+    levels = []
+    per_path = experiments._per_path
+
+    def recording(cfg, factor, *args, **kwargs):
+        values, flag, head = per_path(cfg, factor, *args, **kwargs)
+        levels.append((factor, values.copy()))
+        return values, flag, head
+
+    monkeypatch.setattr(experiments, "_per_path", recording)
+    study(cfg)
+    assert [factor for factor, _ in levels] == list(factors)
+    for factor, values in levels:
+        want = np.array([oracle(cfg, factor, i) for i in range(cfg.n_paths)]).T
+        assert values.tobytes() == want.tobytes()
+
+
+def test_block_market_and_work_arrays_live_in_the_level_buffers(monkeypatch):
+    # 23 paths, 5 a block: each block's market and work arrays must be views of
+    # the same level buffers, not copies, and read-only where they are the
+    # market's.
+    cfg = small_cfg(n_paths=23, base_steps=8)
+    monkeypatch.setattr(experiments, "BUDGET", 5 * 33)
+    seen = []
+
+    def fn(mkt, work, out):
+        seen.append((mkt, work))
+        out[0] = mkt.stock[:, -1]
+        return False, None
+
+    values, _, _ = experiments._per_path(cfg, 4, "physical", fn, 1, n_work=2)
+    assert len(seen) == 5
+    first_mkt, first_work = seen[0]
+    for mkt, work in seen:
+        assert np.shares_memory(mkt.stock, first_mkt.stock)
+        assert not mkt.stock.flags.writeable
+        assert all(np.shares_memory(w, w0) for w, w0 in zip(work, first_work))
+    assert values[0].tobytes() == _market(cfg, uniform_grid(1.0, 8), 4, range(23), "physical").stock[:, -1].tobytes()
