@@ -11,18 +11,20 @@ has a documented default so an empty document is a complete configuration:
     base_steps = 64     intervals on the base grid (>= 1)
     refinement_factors = 1,4,16   strictly increasing integers >= 1
     n_paths = 10000     Monte Carlo paths (1 to 2**32)
-    seed = 42           base RNG seed (>= 0)
+    seed = 42           stream seed (0 to 2**128 - 1)
     strike = 100        hedge-target call strike (> 0); expiry = horizon
 
 Subcommands: simulate (path + ledger CSVs), verify (defect refinement
 study), hedge (hedging-error convergence), martingale (equal rate of
-return test). simulate draws its paths in fixed blocks, each one batch
-generate_brownian(grid, seed, range(...)) through gbm_path, and writes
-paths.csv byte-identically to the per-path stream, in memory that does not
-grow with n_paths; the studies stream their paths in blocks too (see
-experiments). Each run writes its CSVs plus a manifest.json into --out
-and exits 0 iff every experiment verdict passes; negative controls that
-violate as expected are marked expected-fail and do not fail the run.
+return test). Path i of a run draws its normals from counter-based stream
+2 keyed by (seed, i) (see paths), so simulate can draw its paths in fixed
+blocks, each one batch generate_brownian(grid, seed, range(...)) through
+gbm_path, and write paths.csv byte-identically to the per-path draws, in
+memory that does not grow with n_paths; the studies stream their paths in
+blocks too (see experiments). Each run writes its CSVs plus a
+manifest.json, which records the stream version, into --out and exits 0
+iff every experiment verdict passes; negative controls that violate as
+expected are marked expected-fail and do not fail the run.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .experiments import (
     write_result_csv,
 )
 from .ledger import write_ledger_csv
-from .paths import GbmParams, MarketPath, gbm_path, generate_brownian, uniform_grid
+from .paths import STREAM, GbmParams, MarketPath, gbm_path, generate_brownian, uniform_grid
 from .strategies import delta_hedge
 
 COMMANDS = ("simulate", "verify", "hedge", "martingale")
@@ -136,6 +138,7 @@ class RunManifest:
             "command": self.command,
             "version": self.version,
             "seed": self.config.seed,
+            "stream": STREAM,
             "config": config_to_text(self.config),
             "outputs": list(self.outputs),
         }

@@ -38,6 +38,7 @@ from .paths import (
     MarketPath,
     TimeGrid,
     _integer,
+    _seed,
     gbm_path,
     generate_brownian,
     refine,
@@ -91,16 +92,15 @@ class ExperimentConfig:
     def __post_init__(self):
         if not (self.horizon > 0.0 and math.isfinite(self.horizon)):
             raise ValueError("horizon must be > 0")
-        for name in ("base_steps", "n_paths", "seed"):
+        for name in ("base_steps", "n_paths"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        object.__setattr__(self, "seed", _seed(self.seed))
         if self.base_steps < 1:
             raise ValueError("base_steps must be >= 1")
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
         if self.n_paths > 2**32:
-            raise ValueError("n_paths must be <= 2**32 (path indices are uint32 stream keys)")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+            raise ValueError("n_paths must be <= 2**32 (path indices must be below 2**32)")
         factors = tuple(_integer("refinement_factors", f) for f in self.refinement_factors)
         if not factors or any(f < 1 for f in factors):
             raise ValueError("refinement_factors must be >= 1")
@@ -159,9 +159,9 @@ class StrategySpec:
 
 def _market(cfg: ExperimentConfig, grid: TimeGrid, factor: int, block: range, measure: str, out=None) -> MarketPath:
     """The batch market of the path indices in `block`, on `grid` refined by
-    `factor`. Path i uses the counter (cfg.seed, i); refinement keys extend
-    it, so every level of a refinement study shares Brownian motion with the
-    base resolution at the shared instants.
+    `factor`. Path i is keyed (cfg.seed, i); refinement keys extend it, so
+    every level of a refinement study shares Brownian motion with the base
+    resolution at the shared instants.
 
     `out`, if given, is the pair of block buffers the chain runs in: the
     base draw and the stock. The level's increments are drawn (or bridged)

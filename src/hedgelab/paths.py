@@ -6,14 +6,19 @@ any self-financing defect observed downstream is attributable to discrete
 trading, not to the simulator. The money-market account is deterministic,
 beta_k = exp(r * t_k).
 
-Randomness is counter-based: every increment sequence is a pure function
-of (seed, path_index, grid), so Monte Carlo results are reproducible under
-any execution order. Refinement keys extend the counter so a refined path
-is likewise a pure function of its inputs. Path (seed, i) draws from the
-PCG64 stream of default_rng([seed, i]). A batch is drawn by passing a
-range of path indices, generate_brownian(grid, seed, range(...)): it
-derives every path's PCG64 state at once and reproduces those streams bit
-for bit, and refine and gbm_path take the batch as they take one path.
+Randomness is counter-based (stream 2, after Salmon et al., "Parallel
+Random Numbers: As Easy as 1, 2, 3", SC'11): every increment sequence is a
+pure function of (seed, path_index, grid), so Monte Carlo results are
+reproducible under any execution order. The seed, in [0, 2**128), is the
+Philox key. A draw of n normals a path groups the path indices into chunks
+of K = max(1, CHUNK_NORMALS // n) consecutive indices, and path i is row
+i % K of the standard normals of chunk i // K, the Philox counter block
+[0, i // K, tag]. The tag is 0 for base increments; a bridge's tag is fixed
+by its refinement lineage, so a refined path is likewise a pure function of
+its inputs. A batch is drawn by passing a range of path indices,
+generate_brownian(grid, seed, range(...)): it draws each chunk it touches
+once, and each row is bit for bit the single-path draw. refine and gbm_path
+take the batch as they take one path.
 """
 
 from __future__ import annotations
@@ -23,26 +28,19 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .accum import _out, comp_cumsum
 
-# Salt mixed into the bridge RNG stream so refinement noise can never
-# collide with the base increment stream for any (seed, path_index).
-_BRIDGE_SALT = 0x42524447
+# The stream layout (module docstring) is versioned, and manifest.json
+# records STREAM. CHUNK_NORMALS is part of the layout, not a tuning knob:
+# changing it changes every stochastic output and needs a new STREAM.
+STREAM = 2
+CHUNK_NORMALS = 1024
 
-# SeedSequence's hash constants (numpy.random.bit_generator) and PCG64's
-# 128-bit LCG multiplier. NumPy's stream-compatibility policy fixes both,
-# which is what lets _pcg64_states reproduce default_rng's seeding.
-_SS_INIT_A = 0x43B0D7E5
-_SS_MULT_A = 0x931E8875
-_SS_INIT_B = 0x8B51F9DD
-_SS_MULT_B = 0x58F38DED
-_SS_MIX_L = 0xCA01F9DD
-_SS_MIX_R = 0x4973F715
-_SS_POOL = 4
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32 = (1 << 32) - 1
-_MASK128 = (1 << 128) - 1
+# Salt mixed into the bridge tags so refinement noise can never collide
+# with the base increment stream for any (seed, path_index).
+_BRIDGE_SALT = 0x42524447
 
 
 def _integer(name: str, value) -> int:
@@ -136,14 +134,14 @@ class BrownianPath:
 
     `increments` holds one path, shape (n_steps,), or a batch of paths
     stacked along a leading axis, shape (n_paths, n_steps). `key` records
-    the counter lineage ((seed, path_index), extended by each refinement)
-    so derived randomness stays reproducible; in a batch, path_index is the
-    integer array of the rows' path indices.
+    the stream lineage ((seed, path_index), extended by each refinement
+    factor) so derived randomness stays reproducible; in a batch, path_index
+    is the integer array of the rows' path indices.
     """
 
     grid: TimeGrid
     increments: np.ndarray
-    key: tuple = (0,)
+    key: tuple = (0, 0)
 
     def __post_init__(self):
         inc = _readonly(self.increments)
@@ -197,105 +195,94 @@ def uniform_grid(horizon: float, steps: int) -> TimeGrid:
     return TimeGrid(np.linspace(0.0, float(horizon), steps + 1))
 
 
-def _uint32_words(n: int) -> list[int]:
-    """Little-endian 32-bit words of a non-negative int, as SeedSequence reads it."""
-    if n < 0:
-        raise ValueError("RNG key entries must be non-negative")
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
+def _seed(value) -> int:
+    """`value` as a stream seed: an integer in [0, 2**128), the Philox key."""
+    seed = _integer("seed", value)
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
+    if seed >= 2**128:
+        raise ValueError("seed must be < 2**128 (it is the 128-bit Philox key)")
+    return seed
 
 
-def _pcg64_states(entropy: list[np.ndarray]):
-    """Yield the PCG64 (state, inc) of default_rng(words) for many word lists.
+class _PhiloxKey(ISeedSequence):
+    """A seed's 128-bit Philox key as the seed sequence a Philox is built
+    from: Philox reads its key from generate_state(2, np.uint64), so the
+    key words pass through as they are. Philox(key=...) gives the same
+    generator but also builds, and drops, an entropy SeedSequence, which
+    costs more than a chunk's whole draw."""
 
-    `entropy` lists the uint32 entropy words as arrays, element j of every
-    array belonging to stream j. The SeedSequence hash runs on the arrays
-    with uint32 wraparound; PCG64 then seeds itself from
-    generate_state(4, np.uint64) as (initstate, initseq) = (w0:w1, w2:w3)
-    followed by two LCG steps (pcg_setseq_128_srandom_r).
-    """
-    hash_const = _SS_INIT_A
+    __slots__ = ("words",)
 
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = (hash_const * _SS_MULT_A) & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> np.uint32(16))
+    def __init__(self, seed: int):
+        self.words = np.array([seed % 2**64, seed >> 64], dtype=np.uint64)
 
-    def mix(x, y):
-        result = np.uint32(_SS_MIX_L) * x - np.uint32(_SS_MIX_R) * y
-        return result ^ (result >> np.uint32(16))
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
 
-    zero = np.zeros_like(entropy[0])
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_SS_POOL)]
-    for i_src in range(_SS_POOL):
-        for i_dst in range(_SS_POOL):
-            if i_src != i_dst:
-                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
-    for word in entropy[_SS_POOL:]:
-        for i_dst in range(_SS_POOL):
-            pool[i_dst] = mix(pool[i_dst], hashmix(word))
 
-    hash_const = _SS_INIT_B
-    state_words = []
-    for i in range(2 * _SS_POOL):
-        value = pool[i % _SS_POOL] ^ np.uint32(hash_const)
-        hash_const = (hash_const * _SS_MULT_B) & _MASK32
-        value = value * np.uint32(hash_const)
-        state_words.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
-    seeds = [(lo | (hi << np.uint64(32))).tolist() for lo, hi in zip(state_words[::2], state_words[1::2])]
-
-    for s_hi, s_lo, q_hi, q_lo in zip(*seeds):
-        inc = (((q_hi << 64) | q_lo) << 1 | 1) & _MASK128
-        yield ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128, inc
+def _chunk_normals(key: _PhiloxKey, j: int, tag: tuple, out: np.ndarray) -> np.ndarray:
+    """Fill the C-contiguous `out` with the first out.size normals of chunk j
+    of the stream (key, tag), and return it."""
+    bitgen = np.random.Philox(key, counter=[0, j, *tag])
+    return np.random.Generator(bitgen).standard_normal(out=out)
 
 
 def _keyed_normals(key: tuple, shape: tuple, out=None) -> np.ndarray:
-    """Standard normals from the stream of default_rng(list(key)), in a new
-    array or in `out` (C-contiguous rows; see accum._out).
+    """Standard normals of `shape` for the BrownianPath key (seed,
+    path_index, *refinement lineage), in a new array or in `out` (C-contiguous
+    rows; see accum._out): base increments for an empty lineage, else the
+    bridge normals of its last refinement.
 
-    One entry of `key` may be an integer array of path indices instead of
-    an int: the result then stacks one stream per index along a new
-    leading axis, each bit for bit what default_rng gives for that index.
+    path_index may be an integer array instead of an int: the result then
+    stacks one row per index along a new leading axis, each bit for bit the
+    single-path draw of that index. Each run of consecutive indices in one
+    chunk draws that chunk once, up to the last row it needs, into a scratch
+    of at most max(CHUNK_NORMALS, n) normals, and copies its rows out. One
+    path draws its chunk only up to its own row.
     """
-    batch = [k for k in key if isinstance(k, np.ndarray)]
+    seed, index, *lineage = key
+    philox_key = _PhiloxKey(seed)
+    tag = (0, 0)
+    if lineage:
+        tag = tuple(np.random.SeedSequence([_BRIDGE_SALT, *lineage]).generate_state(2, np.uint64).tolist())
+    n = math.prod(shape)
+    per_chunk = max(1, CHUNK_NORMALS // n)
+    batch = isinstance(index, np.ndarray)
+    out = _out(out, (*index.shape, *shape) if batch else shape)
     if not batch:
-        out = _out(out, shape)
-        np.random.default_rng([int(k) for k in key]).standard_normal(out=out)
+        if not 0 <= index < 2**32:
+            raise ValueError("path indices must be in [0, 2**32)")
+        j, row = divmod(index, per_chunk)
+        if row == 0:
+            return _chunk_normals(philox_key, j, tag, out)
+        drawn = _chunk_normals(philox_key, j, tag, np.empty((row + 1) * n))
+        out[...] = drawn[row * n :].reshape(shape)
         return out
-    (n_paths,) = batch[0].shape
-    out = _out(out, (n_paths, *shape))
-    entropy = []
-    for k in key:
-        if isinstance(k, np.ndarray):
-            if k.size and not 0 <= int(k.min()) <= int(k.max()) <= _MASK32:
-                raise ValueError("batched path indices must be in [0, 2**32)")
-            entropy.append(k.astype(np.uint32))
+    (n_paths,) = index.shape
+    if n_paths and not 0 <= int(index.min()) <= int(index.max()) < 2**32:
+        raise ValueError("path indices must be in [0, 2**32)")
+    rows = np.reshape(out, (n_paths, n), copy=False)  # raises unless a view
+    chunk, row = np.divmod(index, per_chunk)
+    scratch = np.empty((per_chunk, n))
+    starts = np.flatnonzero(np.diff(chunk, prepend=-1))
+    ends = [*starts[1:].tolist(), n_paths]
+    tops = np.maximum.reduceat(row, starts) + 1
+    for a, b, j, top in zip(starts.tolist(), ends, chunk[starts].tolist(), tops.tolist()):
+        if b - a == 1 and row[a] == 0:  # one path, its chunk's first row: no copy
+            _chunk_normals(philox_key, j, tag, rows[a])
         else:
-            entropy.extend(np.full(n_paths, w, dtype=np.uint32) for w in _uint32_words(int(k)))
-    bitgen = np.random.PCG64(0)
-    gen = np.random.Generator(bitgen)
-    for row, (state, inc) in zip(out, _pcg64_states(entropy)):
-        bitgen.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        gen.standard_normal(out=row)
+            rows[a:b] = _chunk_normals(philox_key, j, tag, scratch[:top])[row[a:b]]
     return out
 
 
 def generate_brownian(grid: TimeGrid, seed: int, path_index: int | range = 0, *, out=None) -> BrownianPath:
     """Draw the increment sequence for one path, or for a range of paths.
 
-    The stream is keyed by (seed, path_index): the same pair always yields
-    bit-identical increments, and distinct pairs yield independent streams,
-    regardless of call order or thread schedule. A range of path indices
+    The draw is keyed by (seed, path_index), seed in [0, 2**128) and
+    path_index in [0, 2**32): the same pair always yields bit-identical
+    increments, and distinct pairs yield independent normals, regardless of
+    call order or thread schedule. A range of path indices
     gives the batch BrownianPath whose row j is bit for bit the draw of
     path index path_index[j]. Given `out` (see accum._out), the increments
     are drawn into it and the BrownianPath is built on it without a copy,
@@ -305,7 +292,7 @@ def generate_brownian(grid: TimeGrid, seed: int, path_index: int | range = 0, *,
         index = np.arange(path_index.start, path_index.stop, path_index.step)
     else:
         index = _integer("path_index", path_index)
-    key = (_integer("seed", seed), index)
+    key = (_seed(seed), index)
     z = _keyed_normals(key, (grid.n_points - 1,), out)
     z *= np.sqrt(grid.dt)
     return BrownianPath(grid, _Owned(z), key=key)
@@ -325,7 +312,7 @@ def _gbm_stock(params: GbmParams, w: BrownianPath, measure: str, out=None) -> np
     # In place, with each product and sum's operands swapped: IEEE + and *
     # commute, so this is bitwise the textbook formula.
     x *= params.sigma
-    x += (drift - 0.5 * params.sigma**2) * t
+    x += (drift - 0.5 * (params.sigma * params.sigma)) * t
     np.exp(x, out=x)
     x *= params.s0
     return x
@@ -342,8 +329,9 @@ def gbm_path(params: GbmParams, w: BrownianPath, measure: str, *, out=None) -> M
     in it and the MarketPath holds it without a copy, so it is valid only
     until `out` is rewritten.
     """
-    # An overflow to inf is reported once, by MarketPath's positive-and-finite checks.
-    with np.errstate(over="ignore"):
+    # An overflow to inf, or the nan of inf * 0 at t = 0 that a sigma * sigma
+    # overflow brings, is reported once, by MarketPath's positive-and-finite checks.
+    with np.errstate(over="ignore", invalid="ignore"):
         stock = _gbm_stock(params, w, measure, out)
         bond = np.exp(params.r * w.grid.times)
     return MarketPath(grid=w.grid, stock=_Owned(stock), bond=_Owned(bond), rate=params.r)
@@ -369,7 +357,7 @@ def refine(grid: TimeGrid, w: BrownianPath, factor: int, *, out=None) -> tuple[T
     summing to the original increment (Brownian bridge), so the refined
     path and the coarse path describe the same Brownian motion at shared
     instants. Original knots are kept bitwise in the new grid. A batch `w`
-    is refined path by path, each with its own bridge stream. Given `out`
+    is refined path by path, each with its own bridge normals. Given `out`
     (see accum._out), the sub-increments are drawn and bridged in it, and
     the refined BrownianPath is built on it without a copy, so it is valid
     only until `out` is rewritten.
@@ -384,7 +372,7 @@ def refine(grid: TimeGrid, w: BrownianPath, factor: int, *, out=None) -> tuple[T
     lead = w.increments.shape[:-1]
     sub = _out(out, (*lead, n_steps * m), w.increments)
     xi = np.reshape(sub, (*lead, n_steps, m), copy=False)  # raises unless a view
-    _bridge(_keyed_normals((_BRIDGE_SALT, *key), (n_steps, m), xi), h, w.increments)
+    _bridge(_keyed_normals(key, (n_steps, m), xi), h, w.increments)
 
     offsets = np.arange(m) / m
     fine = grid.times[:-1, None] + h[:, None] * offsets[None, :]

@@ -131,13 +131,19 @@ def bs_price(s: float, strike: float, vol: float, rate: float, tau: float) -> fl
     """Black-Scholes value of a European call.
 
     At tau = 0 this is the payoff max(s - strike, 0); at vol = 0 it is the
-    deterministic forward value max(s - strike * exp(-rate * tau), 0).
+    deterministic forward value max(s - strike * exp(-rate * tau), 0). Where
+    vol^2 * tau overflows it is the vol -> infinity limit, the spot s.
     """
     _check_bs_args(s, strike, vol, rate, tau)
     if vol == 0.0 or tau == 0.0:
         return max(s - strike * math.exp(-rate * tau), 0.0)
     srt = vol * math.sqrt(tau)
     d1 = (math.log(s / strike) + (rate + 0.5 * vol * vol) * tau) / srt
+    if not math.isfinite(d1):
+        # vol * vol * tau or srt overflowed, where d1 - srt would keep d2 at
+        # +inf: the total variance is past float range, so d1 -> inf and
+        # d2 -> -inf, and the call is worth its vol -> infinity limit, the spot.
+        return s
     d2 = d1 - srt
     return s * _norm_cdf(d1) - strike * math.exp(-rate * tau) * _norm_cdf(d2)
 

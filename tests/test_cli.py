@@ -2,6 +2,7 @@ import contextlib
 import csv
 import dataclasses
 import io
+import json
 import os
 import re
 import subprocess
@@ -71,6 +72,7 @@ _OUT_OF_RANGE = [
     ("base_steps", "0"), ("refinement_factors", "4,2"), ("n_paths", "0"), ("seed", "-1"),
     ("strike", "0"),
     ("s0", "inf"), ("mu", "nan"), ("horizon", "inf"), ("strike", "inf"),
+    ("seed", str(2**128)),
 ]
 
 
@@ -78,9 +80,12 @@ _OUT_OF_RANGE = [
     "flags, config, key",
     [([], f"{key} = {value}\n", key) for key, value in _OUT_OF_RANGE]
     + [(["--seed", "-1"], "", "seed"), (["--paths", "0"], "", "n_paths")]
-    # Rejected before anything is allocated: path indices are uint32 keys.
-    + [(["--paths", str(2**32 + 1)], "", "n_paths")],
-    ids=[f"{key}={value}" for key, value in _OUT_OF_RANGE] + ["--seed=-1", "--paths=0", "--paths=2**32+1"],
+    # Rejected before anything is allocated: path indices stay below 2**32.
+    + [(["--paths", str(2**32 + 1)], "", "n_paths")]
+    # The seed is the 128-bit Philox key.
+    + [(["--seed", str(2**128)], "", "seed")],
+    ids=[f"{key}={value}" for key, value in _OUT_OF_RANGE]
+    + ["--seed=-1", "--paths=0", "--paths=2**32+1", "--seed=2**128"],
 )
 def test_main_config_error_names_the_key(tmp_path, capsys, flags, config, key):
     cfg_file = tmp_path / "run.cfg"
@@ -143,6 +148,11 @@ def test_run_verify_writes_outputs_and_passes(tmp_path, capsys):
     manifest = RunManifest.from_json((tmp_path / "manifest.json").read_text())
     assert manifest.config == cfg
     assert manifest.outputs == ("defect_refinement.csv",)
+
+
+def test_manifest_records_the_stream_version(tmp_path):
+    run("verify", parse_config(SMALL), tmp_path)
+    assert json.loads((tmp_path / "manifest.json").read_text())["stream"] == 2
 
 
 def test_run_simulate_writes_paths_and_ledger(tmp_path):
@@ -312,8 +322,8 @@ def test_main_simulate_stock_underflow_exits_two_without_traceback(tmp_path, cap
 
 @pytest.mark.parametrize(
     "command, config",
-    [("verify", "mu = 1e308\n"), ("martingale", "r = 800\n")],
-    ids=["stock-overflow", "bond-overflow"],
+    [("verify", "mu = 1e308\n"), ("martingale", "r = 800\n"), ("verify", "sigma = 1e200\n")],
+    ids=["stock-overflow", "bond-overflow", "vol-overflow"],
 )
 def test_overflow_exits_two_with_one_stderr_line(tmp_path, command, config):
     # A fresh interpreter: pytest's own warning capture would hide numpy's

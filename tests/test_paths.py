@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from hedgelab import paths
+from hedgelab.experiments import ExperimentConfig
 from hedgelab.paths import (
     BrownianPath,
     GbmParams,
@@ -201,8 +203,7 @@ def _market(params, grid, factor, paths, seed, measure):
 
 @pytest.mark.parametrize("seed", [0, 1, 42, 2**32 + 5, 2**70 + 3])
 def test_range_draw_is_bitwise_the_per_path_reference(seed):
-    # seeds above 2**32 take several SeedSequence entropy words; with the
-    # bridge salt, 2**70 + 3 overflows the 4-word pool
+    # seeds above 2**64 fill the high word of the 128-bit Philox key
     params = GbmParams(100.0, 0.07, 0.3, 0.03)
     for factor in (1, 2, 3, 16):
         for measure in ("physical", "risk_neutral"):
@@ -264,3 +265,93 @@ def test_integer_arguments_refuse_non_integers(call):
     # int() would truncate each of these to a valid but different request
     with pytest.raises(ValueError, match="must be an integer"):
         call(uniform_grid(1.0, 4))
+
+
+# Stream 2 pins: numpy does not promise that Generator.standard_normal stays
+# the same across releases, so a silent change of the stream must fail here.
+_GOLDEN = {
+    0: [0.11934952954712309, -0.2765330142680371, -0.11173178124806517],
+    15: [-0.18642327150445925, -0.08329524090099602, -0.03792779692816097],
+    16: [0.5484658921954447, -0.017192284756747517, -0.14262120086889624],
+    1023: [0.2522474266059989, -0.12803555172391523, -0.14522648003221786],
+}
+_GOLDEN_BRIDGE = [-0.239684243290461, 0.19271662518981775, -0.003486695887519615, 0.16980384353528596]
+
+
+def test_stream_2_golden_increments():
+    # 8 steps: 128 paths a chunk, so 0, 15 and 16 share chunk 0 and 1023 is
+    # the last row of chunk 7
+    grid = uniform_grid(1.0, 8)
+    for i, want in _GOLDEN.items():
+        assert generate_brownian(grid, 42, i).increments[:3].tolist() == want, i
+    _, fine = refine(grid, generate_brownian(grid, 42, 0), 4)
+    assert fine.increments[:4].tolist() == _GOLDEN_BRIDGE
+
+
+@pytest.mark.parametrize(
+    "steps, factor, paths",
+    [
+        (8, 1, range(100, 300)),  # 128 paths a chunk: starts and stops mid-chunk
+        (8, 1, range(5, 700, 37)),  # strided
+        (8, 1, range(300, 100, -7)),  # descending
+        (8, 1, range(127, 129)),  # the two rows either side of a chunk boundary
+        (300, 1, range(1, 11)),  # 3 paths a chunk
+        (1024, 1, range(3, 7)),  # one path a chunk
+        (1500, 1, range(2, 9, 3)),  # one path a chunk, longer than a chunk
+        (8, 4, range(20, 90, 3)),  # bridge of 32 normals a path: 32 paths a chunk
+        (64, 16, range(0, 5)),  # bridge of 1024 normals a path: one a chunk
+    ],
+)
+def test_batch_rows_are_the_single_path_draw_across_chunk_boundaries(steps, factor, paths):
+    grid = uniform_grid(1.0, steps)
+    w = generate_brownian(grid, 9, paths)
+    if factor > 1:
+        w = refine(grid, w, factor)[1]
+    for row, i in enumerate(paths):
+        single = generate_brownian(grid, 9, i)
+        if factor > 1:
+            single = refine(grid, single, factor)[1]
+        assert w.increments[row].tobytes() == single.increments.tobytes(), i
+
+
+@pytest.mark.parametrize(
+    "steps, factor, index, drawn",
+    [
+        (8, 1, 0, 8),
+        (8, 1, 127, 1024),  # the last row of a 128-path chunk
+        (8, 1, 200, 73 * 8),
+        (300, 1, 5, 900),
+        (1500, 1, 4, 1500),
+        (8, 4, 31, 1024),  # bridge: the last row of a 32-path chunk
+        (64, 16, 3, 1024),
+    ],
+)
+def test_single_path_draws_at_most_its_chunk_up_to_its_row(monkeypatch, steps, factor, index, drawn):
+    grid = uniform_grid(1.0, steps)
+    w = generate_brownian(grid, 4, index)
+    counts = []
+    chunk_normals = paths._chunk_normals
+
+    def counting(key, j, tag, out):
+        counts.append(out.size)
+        return chunk_normals(key, j, tag, out)
+
+    monkeypatch.setattr(paths, "_chunk_normals", counting)
+    if factor == 1:
+        generate_brownian(grid, 4, index)
+    else:
+        refine(grid, w, factor)
+    n = steps * factor
+    assert counts == [drawn] and drawn <= max(paths.CHUNK_NORMALS, n)
+
+
+def test_seed_is_a_128_bit_key():
+    grid = uniform_grid(1.0, 4)
+    generate_brownian(grid, 2**128 - 1, range(3))
+    for call in (
+        lambda: generate_brownian(grid, 2**128),
+        lambda: generate_brownian(grid, 2**128, range(3)),
+        lambda: ExperimentConfig(seed=2**128),
+    ):
+        with pytest.raises(ValueError, match="seed must be < 2[*][*]128"):
+            call()

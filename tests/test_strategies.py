@@ -208,3 +208,27 @@ def test_bs_delta_on_the_sigma_zero_kink_is_the_vol_limit():
 def test_bs_price_and_delta_refuse_the_same_arguments(fn, vol, rate, tau):
     with pytest.raises(ValueError):
         fn(100.0, 100.0, vol, rate, tau)
+
+
+# Parent values of bs_price(s, 100, vol, 0.05, 0.75): no vol here overflows,
+# so the vol -> infinity limit must leave every bit as it was.
+_BS_PRICES = {
+    (0.05, 80.0): 7.3178591642605265e-06, (0.05, 100.0): 4.134529513870945, (0.05, 120.0): 23.680558392512836,
+    (0.2, 80.0): 1.100089876545793, (0.2, 100.0): 8.772268259756935, (0.2, 120.0): 24.58318546864733,
+    (1.0, 80.0): 22.005781629465993, (1.0, 100.0): 34.752181612352295, (1.0, 120.0): 49.15795710546971,
+    (5.0, 80.0): 77.33484051690414, (5.0, 100.0): 97.01824081753206, (5.0, 120.0): 116.7367868918411,
+    (1e150, 80.0): 80.0, (1e150, 100.0): 100.0, (1e150, 120.0): 120.0,
+}
+
+
+def test_bs_price_at_ordinary_vols_is_bitwise_unchanged():
+    for (vol, s), want in _BS_PRICES.items():
+        assert bs_price(s, 100.0, vol, 0.05, 0.75) == want, (vol, s)
+
+
+@pytest.mark.parametrize("vol", [1.4e154, 1e200, 1e300])
+def test_bs_price_where_the_variance_overflows_is_the_spot(vol):
+    # vol -> infinity: d1 -> inf and d2 -> -inf, so the call is worth s; an
+    # overflowed d1 - srt would leave d2 at +inf and give s - K exp(-r tau).
+    assert bs_price(100.0, 100.0, vol, 0.05, 1.0) == 100.0
+    assert bs_price(80.0, 100.0, vol, 0.05, 1.0) == 80.0
