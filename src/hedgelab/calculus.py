@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .accum import comp_cumsum
-from .paths import MarketPath, TimeGrid, _Owned, _readonly
+from .paths import MarketPath, TimeGrid, _freeze, _Owned
 
 
 @dataclass(frozen=True, eq=False)
@@ -27,12 +27,7 @@ class SampledSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        v = _readonly(self.values)
-        if v.shape != (self.grid.n_points,):
-            raise ValueError("series needs one value per grid point")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("series values must be finite")
-        object.__setattr__(self, "values", v)
+        _freeze(self, ("values",), self.grid.n_points)
 
 
 @dataclass(frozen=True)

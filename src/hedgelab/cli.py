@@ -291,7 +291,7 @@ def main(argv=None) -> int:
 
     try:
         return run(args.command, cfg, args.out)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

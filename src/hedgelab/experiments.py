@@ -16,10 +16,10 @@ One block loop, _per_path, runs the blocks of a study level. It allocates the
 level's block buffers once and reuses them for every block: the market is
 drawn and built in them without a copy, and the study's holdings and
 ledger series are written into its work arrays through the kernels' out=
-arguments (complete_bond, defect_series, constant_mix_holdings,
-delta_stock_holdings), the same kernels the single-path API runs on one
-path. A block's market and work arrays are valid only during that block:
-the next block rewrites them.
+arguments (delta_hedge_holdings, constant_mix_holdings, defect_series),
+the same kernels the single-path API runs on one path. A block's market
+and work arrays are valid only during that block: the next block rewrites
+them.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ledger import complete_bond, defect_series
+from .ledger import defect_series
 from .paths import (
     GbmParams,
     MarketPath,
@@ -44,7 +44,7 @@ from .paths import (
     refine,
     uniform_grid,
 )
-from .strategies import EuropeanCall, constant_mix_holdings, delta_stock_holdings, inject_cash
+from .strategies import EuropeanCall, constant_mix_holdings, delta_hedge_holdings, inject_cash
 
 # Unused here, but the traced benchmark run (perfbench/tracing.py) wraps
 # these names as attributes of this module and fails if one is missing.
@@ -116,10 +116,16 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ResultRow:
+    """One study statistic; one past float64 range (inf, or nan) is refused."""
+
     param: str
     statistic: float
     stderr: float
     status: str  # "pass" | "fail" | "expected-fail"
+
+    def __post_init__(self):
+        if not (math.isfinite(self.statistic) and math.isfinite(self.stderr)):
+            raise ValueError(f"result row {self.param!r} is not finite: {self.statistic!r} +- {self.stderr!r}")
 
 
 @dataclass(frozen=True)
@@ -216,14 +222,6 @@ def _per_path(cfg: ExperimentConfig, factor: int, measure: str, fn, n_values: in
     return values, flag, head
 
 
-def _delta_hedge(mkt: MarketPath, option: EuropeanCall, vol: float, out=None):
-    """Self-financing delta-hedge holdings (a, b) of every path, at volatility
-    `vol`, in new arrays or in the pair `out`."""
-    a_out, b_out = (None, None) if out is None else out
-    a, y0 = delta_stock_holdings(option, mkt.stock, mkt.grid.times, mkt.rate, vol, out=a_out)
-    return a, complete_bond(a, mkt.stock, mkt.bond, y0, out=b_out)
-
-
 def _max_abs_defect(a: np.ndarray, b: np.ndarray, mkt: MarketPath, series, out: np.ndarray) -> None:
     """max |D| of each path into `out`; `series` holds the three work
     arrays of defect_series."""
@@ -239,7 +237,7 @@ def _block_defects(cfg: ExperimentConfig, mkt: MarketPath, work, out):
     frozen-bond control, and whether any path of the block rebalances.
     """
     a, b, *series = work
-    _delta_hedge(mkt, cfg.hedge, cfg.params.sigma, out=(a, b))
+    delta_hedge_holdings(cfg.hedge, mkt, cfg.params.sigma, out=(a, b))
     _max_abs_defect(a, b, mkt, series, out[0])
     _max_abs_defect(a, np.broadcast_to(b[:, :1], b.shape), mkt, series, out[1])
     return bool(np.any(a[:, 1:] != a[:, :-1])), None
@@ -247,10 +245,11 @@ def _block_defects(cfg: ExperimentConfig, mkt: MarketPath, work, out):
 
 def _block_hedge_errors(cfg: ExperimentConfig, mkt: MarketPath, work, out):
     """Each path's squared terminal error of the delta hedge against the payoff."""
-    a, b = _delta_hedge(mkt, cfg.hedge, cfg.params.sigma, out=work)
+    a, b = delta_hedge_holdings(cfg.hedge, mkt, cfg.params.sigma, out=work)
     terminal = a[:, -1] * mkt.stock[:, -1] + b[:, -1] * mkt.bond[-1]
     payoff = np.maximum(mkt.stock[:, -1] - cfg.strike, 0.0)
-    np.square(terminal - payoff, out=out[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan is refused by its ResultRow
+        np.square(terminal - payoff, out=out[0])
     return False, None
 
 
@@ -293,7 +292,7 @@ def constant_mix_spec(stock_weight: float, initial_wealth: float) -> StrategySpe
 
 def delta_hedge_spec(option: EuropeanCall, vol: float) -> StrategySpec:
     def build(mkt: MarketPath, out=None):
-        return _delta_hedge(mkt, option, vol, out=out)
+        return delta_hedge_holdings(option, mkt, vol, out=out)
 
     return StrategySpec(f"delta_hedge(K={option.strike:g})", build)
 
@@ -367,8 +366,9 @@ def martingale_test(cfg: ExperimentConfig, strategies: list[StrategySpec]) -> Ex
     discounted, _, y0s = _per_path(cfg, 1, "risk_neutral", fn, len(strategies), n_work=2)  # Y_0 is path 0's
     rows = []
     for spec, y0, values in zip(strategies, y0s, discounted):
-        estimate = float(np.mean(values))
-        stderr = float(np.std(values, ddof=1) / math.sqrt(cfg.n_paths))
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan is refused by its ResultRow
+            estimate = float(np.mean(values))
+            stderr = float(np.std(values, ddof=1) / math.sqrt(cfg.n_paths))
         inside = abs(estimate - y0) <= mult * stderr + atol
         if spec.control:
             status = "fail" if inside else "expected-fail"
@@ -397,11 +397,12 @@ def hedging_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     for factor in cfg.refinement_factors:
         n_steps = cfg.base_steps * factor
         (err_sq,), _, _ = _per_path(cfg, factor, "physical", fn, 1, n_work=2)
-        rms = math.sqrt(float(np.mean(err_sq)))
-        if rms > 0.0 and cfg.n_paths > 1:
-            stderr = float(np.std(err_sq, ddof=1)) / (2.0 * rms * math.sqrt(cfg.n_paths))
-        else:
-            stderr = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan is refused by its ResultRow
+            rms = math.sqrt(float(np.mean(err_sq)))
+            if rms > 0.0 and cfg.n_paths > 1:
+                stderr = float(np.std(err_sq, ddof=1)) / (2.0 * rms * math.sqrt(cfg.n_paths))
+            else:
+                stderr = 0.0
         del err_sq  # freed before the next level's buffers are allocated
         counts.append(n_steps)
         rms_values.append(rms)

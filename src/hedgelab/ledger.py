@@ -10,8 +10,8 @@ positions; the remaining four are the per-step self-financing defect and
 equal da_k * S_{k+1} + db_k * beta_{k+1}: a rebalance settles at the new
 prices, so value appears (or vanishes) exactly when a rebalance is not
 funded by an offsetting transfer. A strategy is self-financing iff these
-four terms cancel at every step, which `enforce_self_financing` achieves
-by construction.
+four terms cancel at every step, which `complete_bond` achieves by
+construction for `enforce_self_financing` and the delta hedge.
 
 Each quantity has one source: `self_financing_defect` gives the value Y,
 the gain G and the cumulative defect D = Y - Y_0 - G, and
@@ -32,7 +32,7 @@ import numpy as np
 
 from .accum import _out, comp_cumsum
 from .calculus import SampledSeries
-from .paths import MarketPath, TimeGrid, _Owned, _readonly
+from .paths import MarketPath, TimeGrid, _freeze, _Owned
 from .strategies import HoldingsSchedule
 
 LEDGER_CSV_COLUMNS = (
@@ -51,12 +51,7 @@ class LedgerReport:
     defect: np.ndarray
 
     def __post_init__(self):
-        n = self.grid.n_points
-        for name in ("value", "gain", "defect"):
-            arr = _readonly(getattr(self, name))
-            if arr.shape != (n,):
-                raise ValueError(f"{name} series needs one value per grid point")
-            object.__setattr__(self, name, arr)
+        _freeze(self, ("value", "gain", "defect"), self.grid.n_points, rule=None)
 
 
 # Kernels: holdings and stock are one path (n_points,) or a batch

@@ -19,6 +19,8 @@ its inputs. A batch is drawn by passing a range of path indices,
 generate_brownian(grid, seed, range(...)): it draws each chunk it touches
 once, and each row is bit for bit the single-path draw. refine and gbm_path
 take the batch as they take one path.
+
+Every value type's arrays are checked and frozen by one rule, _freeze.
 """
 
 from __future__ import annotations
@@ -64,11 +66,29 @@ class _Owned:
         self.values = values
 
 
-def _readonly(values, dtype=float) -> np.ndarray:
+def _readonly(values) -> np.ndarray:
     """A read-only copy of `values`, or a read-only view of an `_Owned` array."""
-    arr = values.values.view() if isinstance(values, _Owned) else np.array(values, dtype=dtype)
+    arr = values.values.view() if isinstance(values, _Owned) else np.array(values, dtype=float)
     arr.setflags(write=False)
     return arr
+
+
+def _freeze(obj, names: tuple[str, ...], points: int, *, batch: bool = False, rule: str | None = "finite") -> None:
+    """The one array check of the value types: set each field in `names` of
+    the frozen `obj` to its `_readonly` form, which must hold one value per
+    grid point (or interval), shape (points,), or (n_paths, points) when
+    `batch`, and obey `rule`: "finite", "positive" (positive and finite)
+    or None. Each error names the field."""
+    for name in names:
+        arr = _readonly(getattr(obj, name))
+        if arr.shape[-1:] != (points,) or arr.ndim not in ((1, 2) if batch else (1,)):
+            shape = f"({points},) or (n_paths, {points})" if batch else f"({points},)"
+            raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+        if rule == "positive" and not (np.all(arr > 0.0) and np.all(np.isfinite(arr))):
+            raise ValueError(f"{name} values must be positive and finite")
+        if rule == "finite" and not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name} values must be finite")
+        object.__setattr__(obj, name, arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,17 +164,7 @@ class BrownianPath:
     key: tuple = (0, 0)
 
     def __post_init__(self):
-        inc = _readonly(self.increments)
-        if inc.ndim not in (1, 2) or inc.shape[-1] != self.grid.n_points - 1:
-            raise ValueError("need exactly one increment per grid interval")
-        if not np.all(np.isfinite(inc)):
-            raise ValueError("increments must be finite")
-        object.__setattr__(self, "increments", inc)
-
-
-def _require_positive(values: np.ndarray, name: str) -> None:
-    if not (np.all(values > 0.0) and np.all(np.isfinite(values))):
-        raise ValueError(f"{name} values must be positive and finite")
+        _freeze(self, ("increments",), self.grid.n_points - 1, batch=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,17 +182,10 @@ class MarketPath:
     rate: float = 0.0
 
     def __post_init__(self):
-        s = _readonly(self.stock)
-        b = _readonly(self.bond)
-        n = self.grid.n_points
-        if s.ndim not in (1, 2) or s.shape[-1] != n or b.shape != (n,):
-            raise ValueError("stock and bond must have one value per grid point")
-        _require_positive(s, "stock")
-        _require_positive(b, "bond")
-        if abs(b[0] - 1.0) > 1e-12:
+        _freeze(self, ("stock",), self.grid.n_points, batch=True, rule="positive")
+        _freeze(self, ("bond",), self.grid.n_points, rule="positive")
+        if abs(self.bond[0] - 1.0) > 1e-12:
             raise ValueError("bond must be normalized to 1 at t=0")
-        object.__setattr__(self, "stock", s)
-        object.__setattr__(self, "bond", b)
 
 
 def uniform_grid(horizon: float, steps: int) -> TimeGrid:

@@ -6,6 +6,8 @@ i.e. the position immediately after the rebalance at t_k. Every built-in
 strategy decides entry k from path values at indices <= k only (no use of
 the future). Holdings at the final grid point govern no interval; they are
 set equal to the penultimate entry so all series share the grid length.
+
+`delta_hedge_holdings` builds every delta hedge, of one path or a block.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .accum import _out
-from .calculus import SampledSeries
-from .paths import MarketPath, TimeGrid, _integer, _Owned, _readonly
+from .paths import MarketPath, TimeGrid, _freeze, _integer, _Owned
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -32,15 +33,7 @@ class HoldingsSchedule:
     b: np.ndarray
 
     def __post_init__(self):
-        a = _readonly(self.a)
-        b = _readonly(self.b)
-        n = self.grid.n_points
-        if a.shape != (n,) or b.shape != (n,):
-            raise ValueError("holdings need one entry per grid point")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise ValueError("holdings must be finite")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        _freeze(self, ("a", "b"), self.grid.n_points)
 
 
 @dataclass(frozen=True)
@@ -135,8 +128,12 @@ def bs_price(s: float, strike: float, vol: float, rate: float, tau: float) -> fl
     vol^2 * tau overflows it is the vol -> infinity limit, the spot s.
     """
     _check_bs_args(s, strike, vol, rate, tau)
+    try:
+        discount = math.exp(-rate * tau)
+    except OverflowError:
+        raise ValueError(f"discount factor exp(-rate * tau) overflows at rate={rate!r}, tau={tau!r}") from None
     if vol == 0.0 or tau == 0.0:
-        return max(s - strike * math.exp(-rate * tau), 0.0)
+        return max(s - strike * discount, 0.0)
     srt = vol * math.sqrt(tau)
     d1 = (math.log(s / strike) + (rate + 0.5 * vol * vol) * tau) / srt
     if not math.isfinite(d1):
@@ -145,7 +142,7 @@ def bs_price(s: float, strike: float, vol: float, rate: float, tau: float) -> fl
         # d2 -> -inf, and the call is worth its vol -> infinity limit, the spot.
         return s
     d2 = d1 - srt
-    return s * _norm_cdf(d1) - strike * math.exp(-rate * tau) * _norm_cdf(d2)
+    return s * _norm_cdf(d1) - strike * discount * _norm_cdf(d2)
 
 
 def bs_delta(s, strike: float, vol: float, rate: float, tau, out=None):
@@ -201,16 +198,23 @@ def delta_stock_holdings(option: EuropeanCall, stock, times, rate: float, vol: f
     return a, y0
 
 
-def delta_hedge(option: EuropeanCall, path: MarketPath, vol: float) -> HoldingsSchedule:
-    """Delta-hedge the call along the path, bond account completed so the
-    schedule is self-financing and starts at the Black-Scholes price
-    (see `delta_stock_holdings`).
+def delta_hedge_holdings(option: EuropeanCall, path: MarketPath, vol: float, out=None):
+    """Delta-hedge holdings (a, b) of the call at volatility `vol` along the
+    path, or every path of a batch market, in two new arrays or in the pair
+    `out` (see accum._out): the delta stock holdings (see
+    `delta_stock_holdings`) and the bond account completed so the schedule
+    is self-financing and starts at the Black-Scholes price.
     """
-    a, y0 = delta_stock_holdings(option, path.stock, path.grid.times, path.rate, vol)
+    from .ledger import complete_bond  # deferred: ledger imports this module
 
-    from .ledger import enforce_self_financing  # deferred: ledger imports this module
+    a_out, b_out = (None, None) if out is None else out
+    a, y0 = delta_stock_holdings(option, path.stock, path.grid.times, path.rate, vol, out=a_out)
+    return a, complete_bond(a, path.stock, path.bond, y0, out=b_out)
 
-    return enforce_self_financing(SampledSeries(path.grid, _Owned(a)), path, y0)
+
+def delta_hedge(option: EuropeanCall, path: MarketPath, vol: float) -> HoldingsSchedule:
+    """Delta-hedge the call along the path (see `delta_hedge_holdings`)."""
+    return HoldingsSchedule(path.grid, *map(_Owned, delta_hedge_holdings(option, path, vol)))
 
 
 def broken_strategy(

@@ -11,7 +11,8 @@ import pytest
 
 from hedgelab import accum
 from hedgelab.accum import comp_cumsum
-from hedgelab.ledger import complete_bond, defect_series
+from hedgelab.calculus import SampledSeries
+from hedgelab.ledger import LedgerReport, complete_bond, defect_series
 from hedgelab.paths import (
     BrownianPath,
     GbmParams,
@@ -19,6 +20,7 @@ from hedgelab.paths import (
     TimeGrid,
     _gbm_stock,
     _keyed_normals,
+    _Owned,
     gbm_path,
     generate_brownian,
     refine,
@@ -29,6 +31,7 @@ from hedgelab.strategies import (
     HoldingsSchedule,
     bs_delta,
     constant_mix_holdings,
+    delta_hedge_holdings,
     delta_stock_holdings,
 )
 
@@ -73,6 +76,13 @@ KERNELS = {
     "delta_stock_holdings": (
         lambda x, out: delta_stock_holdings(OPTION, x[0], GRID.times, PARAMS.r, PARAMS.sigma, out=out)[0],
         [STOCK.copy()], [STOCK.shape],
+    ),
+    # The market holds the input stock without a copy, so an out can overlap it.
+    "delta_hedge_holdings": (
+        lambda x, out: delta_hedge_holdings(
+            OPTION, MarketPath(GRID, _Owned(x[0]), BOND, PARAMS.r), PARAMS.sigma, out=out
+        ),
+        [STOCK.copy()], [STOCK.shape] * 2,
     ),
     "complete_bond": (lambda x, out: complete_bond(x[0], x[1], BOND, Y0, out=out), [A.copy(), STOCK.copy()], [A.shape]),
     "defect_series": (
@@ -230,3 +240,40 @@ def test_public_constructors_copy_the_callers_array(make, field, values):
     held, before = _mutated_after_construction(make, field, values)
     assert held.tobytes() == before.tobytes()
     assert not np.shares_memory(held, values)
+
+
+# name -> (make(values), field, valid values, rule). Each builds one value
+# type with `values` in that field and valid arrays in the others.
+VALUE_FIELDS = {
+    "brownian-increments": (lambda v: BrownianPath(GRID, v), "increments", RNG.standard_normal((3, 16)), "finite"),
+    "market-stock": (lambda v: MarketPath(GRID, v, BOND), "stock", STOCK.copy(), "positive"),
+    "market-bond": (lambda v: MarketPath(GRID, STOCK[0], v), "bond", BOND.copy(), "positive"),
+    "series-values": (lambda v: SampledSeries(GRID, v), "values", A[0].copy(), "finite"),
+    "holdings-a": (lambda v: HoldingsSchedule(GRID, v, B[0]), "a", A[0].copy(), "finite"),
+    "holdings-b": (lambda v: HoldingsSchedule(GRID, A[0], v), "b", B[0].copy(), "finite"),
+    "ledger-value": (lambda v: LedgerReport(GRID, v, A[0], B[0]), "value", A[0].copy(), None),
+    "ledger-gain": (lambda v: LedgerReport(GRID, A[0], v, B[0]), "gain", A[0].copy(), None),
+    "ledger-defect": (lambda v: LedgerReport(GRID, A[0], B[0], v), "defect", A[0].copy(), None),
+}
+
+
+@pytest.mark.parametrize("name", VALUE_FIELDS)
+def test_one_freeze_rule_checks_every_value_field(name):
+    make, field, good, rule = VALUE_FIELDS[name]
+    assert getattr(make(good), field).tobytes() == good.tobytes()
+    batch = good.ndim == 2
+    wrong_shapes = [good[..., :-1], good[None], np.float64(1.0)] + ([] if batch else [np.stack([good, good])])
+    for bad in wrong_shapes:
+        with pytest.raises(ValueError, match=f"^{field} must have shape"):
+            make(bad)
+    for x in (np.nan, np.inf, -np.inf) + ((0.0, -1.0) if rule == "positive" else ()):
+        bad = good.copy()
+        bad[..., 1] = x
+        if rule is None:
+            assert getattr(make(bad), field).tobytes() == bad.tobytes()
+            continue
+        with pytest.raises(ValueError) as exc:
+            make(bad)
+        tail = "positive and finite" if rule == "positive" else "finite"
+        # For the stock this is the CLI's "stock values must be positive and finite".
+        assert str(exc.value) == f"{field} values must be {tail}"

@@ -322,8 +322,16 @@ def test_main_simulate_stock_underflow_exits_two_without_traceback(tmp_path, cap
 
 @pytest.mark.parametrize(
     "command, config",
-    [("verify", "mu = 1e308\n"), ("martingale", "r = 800\n"), ("verify", "sigma = 1e200\n")],
-    ids=["stock-overflow", "bond-overflow", "vol-overflow"],
+    [
+        ("verify", "mu = 1e308\n"),
+        ("martingale", "r = 800\n"),
+        ("verify", "sigma = 1e200\n"),
+        ("martingale", "s0 = 1e200\n"),
+        ("hedge", "s0 = 1e200\nstrike = 1e200\n"),
+        ("hedge", "s0 = 1e150\nstrike = 1e150\n"),
+    ],
+    ids=["stock-overflow", "bond-overflow", "vol-overflow", "martingale-stderr-overflow",
+         "hedge-rms-overflow", "hedge-stderr-overflow"],
 )
 def test_overflow_exits_two_with_one_stderr_line(tmp_path, command, config):
     # A fresh interpreter: pytest's own warning capture would hide numpy's
@@ -339,6 +347,19 @@ def test_overflow_exits_two_with_one_stderr_line(tmp_path, command, config):
     assert proc.returncode == 2
     (line,) = proc.stderr.splitlines()
     assert line.startswith("error:")
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_allocation_failure_exits_two_with_one_line(tmp_path, capsys, command):
+    # A 2**57-step grid is 2**60 bytes, past any user address space, so the
+    # allocation fails before a page is touched.
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"base_steps = {2**57}\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg_file), "--out", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error:")
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 def test_main_failed_simulate_leaves_no_output(tmp_path, capsys):

@@ -232,3 +232,10 @@ def test_bs_price_where_the_variance_overflows_is_the_spot(vol):
     # overflowed d1 - srt would leave d2 at +inf and give s - K exp(-r tau).
     assert bs_price(100.0, 100.0, vol, 0.05, 1.0) == 100.0
     assert bs_price(80.0, 100.0, vol, 0.05, 1.0) == 80.0
+
+
+@pytest.mark.parametrize("vol", [0.2, 0.0])
+def test_bs_price_refuses_a_discount_factor_that_overflows(vol):
+    # exp(-rate * tau) = exp(1000) is past float range.
+    with pytest.raises(ValueError, match="discount factor"):
+        bs_price(100.0, 100.0, vol, -1000.0, 1.0)
