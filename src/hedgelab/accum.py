@@ -1,18 +1,26 @@
-"""Compensated (Neumaier) summation kernels.
+"""Compensated summation kernels.
 
 Cumulative series built from millions of small increments drift by
 O(sqrt(N)) ulps under naive accumulation; the running compensation here
 keeps every prefix sum accurate to ~1 ulp of the true value, which is what
 lets exact accounting identities be asserted at 1e-9 absolute tolerance.
 
-Neumaier's recurrence (ZAMM 1974) starts from s_0 = c_0 = 0.0 and, per term
+The recurrence is Neumaier's (ZAMM 1974) with its error term taken by
+Knuth's branch-free TwoSum. It starts from s_0 = c_0 = 0.0 and, per term
 x_k (k = 1..n),
 
     s_k = s_{k-1} + x_k
-    e_k = (s_{k-1} - s_k) + x_k   if |s_{k-1}| >= |x_k|
-          (x_k - s_k) + s_{k-1}   otherwise
+    bb_k = s_k - s_{k-1}
+    e_k = (s_{k-1} - (s_k - bb_k)) + (x_k - bb_k)
     c_k = c_{k-1} + e_k
     out_k = s_k + c_k
+
+While s_k is finite, e_k is the exact rounding error of s_k, the same
+value Neumaier's branch on |s_{k-1}| >= |x_k| computes, so the series is
+bit-identical to his scalar loop, signed zeros and subnormals included.
+Once a running sum overflows, TwoSum's error term is NaN where Neumaier's
+can be an infinity; out_k is NaN either way, but a NaN's payload may
+differ from the scalar loop's wherever no tested case pins it.
 
 The result is the whole series out_0..out_n, one entry more than the
 terms: out_0 = s_0 + c_0 = 0.0, so a cumulative series that is 0 at grid
@@ -80,10 +88,11 @@ def comp_cumsum(terms, axis: int = -1, out=None) -> np.ndarray:
     and is vectorized over the remaining axes. The result is a float64
     array with one more entry than `terms` along `axis`: out_0 = s_0 + c_0 =
     0.0, then the series bit-identical to running Neumaier's scalar loop on
-    each line. It is a new array, or `out` when given (see `_out`). `out`
-    may hold the terms themselves in its entries 1.. along `axis`, so a
-    caller can build the terms there and accumulate them in place; any
-    other overlap with `terms` raises.
+    each line, up to NaN payloads (see the module docstring). It is a new
+    array, or `out` when given (see `_out`). `out` may hold the terms
+    themselves in its entries 1.. along `axis`, so a caller can build the
+    terms there and accumulate them in place; any other overlap with
+    `terms` raises.
     """
     full = np.asarray(terms, dtype=float)
     arr = full.swapaxes(axis, -1)
@@ -120,14 +129,12 @@ def comp_cumsum(terms, axis: int = -1, out=None) -> np.ndarray:
             # comes before the block's result lands on them.
             x = rows[lo:hi]
             cur[...] = x
-            np.abs(x, out=e)
             np.add.accumulate(s, axis=1, out=s)
-            big = np.abs(prev, out=t) >= e
-            np.subtract(prev, cur, out=t)
-            t += x  # (s_prev - s) + x
-            np.subtract(x, cur, out=e)
-            e += prev  # (x - s) + s_prev
-            np.copyto(e, t, where=big)
+            np.subtract(cur, prev, out=t)  # bb = s - s_prev
+            np.subtract(x, t, out=e)  # x - bb
+            np.subtract(cur, t, out=t)  # s - bb
+            np.subtract(prev, t, out=t)  # s_prev - (s - bb)
+            e += t
             np.add.accumulate(c, axis=1, out=c)
             np.add(s, c, out=flat[lo:hi])
     if copy_back:

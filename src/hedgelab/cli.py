@@ -21,7 +21,8 @@ return test). Path i of a run draws its normals from counter-based stream
 blocks, each one batch generate_brownian(grid, seed, range(...)) through
 gbm_path, and write paths.csv byte-identically to the per-path draws, in
 memory that does not grow with n_paths; the studies stream their paths in
-blocks too (see experiments). Each run writes its CSVs plus a
+blocks too, on one lane (thread) per usable CPU (see experiments), and
+write the same bytes at any lane count. Each run writes its CSVs plus a
 manifest.json, which records the stream version, into --out and exits 0
 iff every experiment verdict passes; negative controls that violate as
 expected are marked expected-fail and do not fail the run.

@@ -4,7 +4,8 @@ equal-rate-of-return (martingale) test, and hedging-error convergence.
 Paths are independent work units indexed by path number; every statistic
 is reduced in path-index order with deterministic numpy kernels, so a
 given ExperimentConfig always reproduces the same result rows bit for bit
-whatever the block size or the order the blocks run in. Each study
+whatever the block size, the order the blocks run in or the number of
+lanes running them. Each study
 simulates its paths in fixed blocks of consecutive path indices, one batch
 MarketPath a block (generate_brownian(grid, seed, range(...)), refine,
 gbm_path: the rows are bit for bit the single-path API's markets), and
@@ -12,26 +13,40 @@ keeps only per-path scalars between blocks. It reduces those once, over
 all n_paths, so no output depends on the block size, and memory is one
 block plus the per-path scalars whatever n_paths is.
 
-One block loop, _per_path, runs the blocks of a study level. It allocates the
-level's block buffers once and reuses them for every block: the market is
-drawn and built in them without a copy, and the study's holdings and
-ledger series are written into its work arrays through the kernels' out=
-arguments (delta_hedge_holdings, constant_mix_holdings, defect_series),
-the same kernels the single-path API runs on one path. A block's market
-and work arrays are valid only during that block: the next block rewrites
-them.
+One block loop, _per_path, runs the blocks of a study level on one or
+more lanes. A lane is a thread with its own block buffers, allocated once
+and reused for every block it runs: the market is drawn and built in them
+without a copy, and the study's holdings and ledger series are written
+into its work arrays through the kernels' out= arguments
+(delta_hedge_holdings, constant_mix_holdings, defect_series), the same
+kernels the single-path API runs on one path. A block's market and work
+arrays are valid only during that block: the lane's next block rewrites
+them. Each lane writes its blocks' per-path values into their own columns
+of one result array, and the study reduces it once, so no output depends
+on the lane count.
+
+Threads suffice because a block's work is numpy and scipy code that
+releases the interpreter lock: ufunc loops, np.add.accumulate, the Philox
+fills and scipy's ndtr. A study runs one lane per usable CPU, at most 8,
+and serially on a process with one usable CPU or on a level that fits
+one block. Only 1 and 2 lanes have been timed (on a 2-vCPU host); more
+lanes, and hosts whose CPU quota is below their affinity mask, are
+untimed.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
 import numpy as np
 
+from . import accum
 from .ledger import defect_series
 from .paths import (
     GbmParams,
@@ -71,6 +86,16 @@ DEFAULT_TOLERANCES = {
 # holds max(1, BUDGET // n_points) consecutive paths. No output depends on
 # it; it bounds the studies' memory whatever n_paths is.
 BUDGET = 2**18
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, which taskset
+    and cpusets narrow, or the machine's count where there is none. A cgroup
+    CPU quota does not narrow it."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on macOS and Windows
+        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -186,40 +211,103 @@ def _per_path(cfg: ExperimentConfig, factor: int, measure: str, fn, n_values: in
     """Run fn on every block of one study level and gather its per-path values.
 
     The level's grid is the base grid refined by `factor`, n_points points.
-    A block holds rows = min(max(1, BUDGET // n_points), n_paths)
-    consecutive path indices (fewer in the last). It allocates the
-    level's buffers once, rows paths each: the base draw, the stock (which
-    also holds the level's draw, see _market) and `n_work`
-    (rows, n_points) float64 work arrays. Every block reuses them, so no
-    block allocates, or faults in, block-sized memory again.
+    It runs on lanes = min(_usable_cpus(), BUDGET // accum.BLOCK_ELEMENTS,
+    blocks, BUDGET // n_points) threads, at least one, where `blocks` is
+    the level's block count at one lane, so a level that fits one block,
+    or whose grid has more than BUDGET / 2 points, runs serially. A block
+    holds rows = min(max(1, BUDGET // lanes // n_points), n_paths)
+    consecutive path indices (fewer in the last), so lanes * rows *
+    n_points <= BUDGET wherever the serial block fits BUDGET: all lanes'
+    blocks together are no larger than the serial block. Each lane
+    allocates its own buffers once, rows paths each: the base draw, the
+    stock (which also holds the level's draw, see _market) and `n_work`
+    (rows, n_points) float64 work arrays. Every block the lane runs reuses
+    them, so no block allocates, or faults in, block-sized memory again.
+    Lane j runs blocks j, j + lanes, ... (see _run_lanes).
 
-    fn(mkt, work, out) gets the block's market, built on the buffers
-    without a copy, the row slices of the work arrays, and the block's
+    fn(mkt, work, out) gets the block's market, built on the lane's buffers
+    without a copy, the row slices of its work arrays, and the block's
     columns of the (n_values, n_paths) result to write its per-path values
     into. The market and the work arrays are valid only during the call:
-    the next block rewrites them. fn returns (flag, head), a bool and any
-    block-level value.
+    the lane's next block rewrites them. fn returns (flag, head), a bool
+    and any block-level value. fn must set any np.errstate it relies on
+    itself: a lane thread starts from numpy's default error state.
 
     Returns the (n_values, n_paths) values, the flags OR-ed over blocks and
-    the head of the first block, the one holding path 0.
+    the head of the first block, the one holding path 0. No value depends
+    on the lane count, as none depends on the block size.
     """
     grid = uniform_grid(cfg.horizon, cfg.base_steps)
-    n_steps = cfg.base_steps * factor
-    rows = min(max(1, BUDGET // (n_steps + 1)), cfg.n_paths)
-    base = np.empty((rows, cfg.base_steps)) if factor > 1 else None
-    stock = np.empty((rows, n_steps + 1))
-    work = [np.empty((rows, n_steps + 1)) for _ in range(n_work)]
+    n_points = cfg.base_steps * factor + 1
+    serial_blocks = -(-cfg.n_paths // max(1, BUDGET // n_points))
+    lanes = max(1, min(_usable_cpus(), BUDGET // accum.BLOCK_ELEMENTS, serial_blocks, BUDGET // n_points))
+    rows = min(max(1, BUDGET // lanes // n_points), cfg.n_paths)
     values = np.empty((n_values, cfg.n_paths))
-    flag, head = False, None
-    for start in range(0, cfg.n_paths, rows):
-        block = range(start, min(start + rows, cfg.n_paths))
-        k = len(block)
-        mkt = _market(cfg, grid, factor, block, measure, (None if base is None else base[:k], stock[:k]))
-        moved, block_head = fn(mkt, [buf[:k] for buf in work], values[:, block.start : block.stop])
-        flag |= moved
-        if start == 0:
-            head = block_head
-    return values, flag, head
+    heads = []
+
+    def lane(blocks) -> bool:
+        base = np.empty((rows, cfg.base_steps)) if factor > 1 else None
+        stock = np.empty((rows, n_points))
+        work = [np.empty((rows, n_points)) for _ in range(n_work)]
+        flag = False
+        for i in blocks:
+            block = range(i * rows, min((i + 1) * rows, cfg.n_paths))
+            k = len(block)
+            mkt = _market(cfg, grid, factor, block, measure, (None if base is None else base[:k], stock[:k]))
+            moved, head = fn(mkt, [buf[:k] for buf in work], values[:, block.start : block.stop])
+            flag |= moved
+            if i == 0:
+                heads.append(head)
+        return flag
+
+    n_blocks = -(-cfg.n_paths // rows)
+    flags = [lane(range(n_blocks))] if lanes == 1 else _run_lanes(lanes, n_blocks, lane)
+    return values, any(flags), heads[0]
+
+
+def _run_lanes(lanes: int, n_blocks: int, lane) -> list:
+    """Run lane(blocks) on `lanes` threads, lane j on blocks j, j + lanes,
+    ... in increasing order, and return the lanes' results in lane order.
+
+    A lane stops at its first exception, so every block below the lowest
+    failing block runs, on one lane or another, and the exception raised
+    here is the lowest failing block's, the one a serial run raises. An
+    exception in the caller while it waits (an interrupt) stops every lane
+    before its next block and is re-raised once they have stopped.
+    """
+    failures: list[tuple[int, BaseException]] = []  # (block index, exception)
+    stopped = False
+    current = [-1] * lanes  # the block each lane is running; -1 before its first
+    results = [None] * lanes
+
+    def blocks(j: int):
+        for i in range(j, n_blocks, lanes):
+            if stopped:
+                return
+            current[j] = i
+            yield i
+
+    def run(j: int) -> None:
+        try:
+            results[j] = lane(blocks(j))
+        except BaseException as exc:  # handed to the caller, which re-raises the lowest block's
+            failures.append((current[j], exc))
+
+    threads = [threading.Thread(target=run, args=(j,), name=f"hedgelab-lane-{j}") for j in range(lanes)]
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    except BaseException:
+        stopped = True
+        for thread in threads:
+            if thread.is_alive():
+                thread.join()
+        raise
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return results
 
 
 def _max_abs_defect(a: np.ndarray, b: np.ndarray, mkt: MarketPath, series, out: np.ndarray) -> None:

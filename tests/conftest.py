@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -26,3 +28,20 @@ def hand_market(stock, bond=None, times=None):
 @pytest.fixture
 def market():
     return make_market()
+
+
+def fail_in_blocks_3_and_5(ran, mkt, work, out):
+    """A block function for 48 paths in 8 blocks of 6 at one lane: the
+    blocks holding path 18 (block 3) and path 35 (block 5) raise, each its
+    own error, block 3's after a pause so that block 5's can come first.
+    Records the path indices of every block it is given."""
+    start = (out.ctypes.data - out.base.ctypes.data) // out.itemsize
+    paths = range(start, start + out.shape[-1])
+    ran.append(paths)
+    if 35 in paths:
+        raise ValueError("block 5")
+    if 18 in paths:
+        time.sleep(0.05)
+        raise ValueError("block 3")
+    out[...] = 0.0
+    return False, None

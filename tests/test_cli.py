@@ -15,10 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hedgelab import cli
+from hedgelab import accum, cli, experiments
 from hedgelab.cli import RunManifest, config_to_text, main, parse_config, run
 from hedgelab.experiments import ExperimentConfig
 from hedgelab.paths import GbmParams, gbm_path, generate_brownian, uniform_grid
+
+from conftest import fail_in_blocks_3_and_5
 
 
 def test_parse_config_empty_document_resolves_defaults():
@@ -338,7 +340,7 @@ def test_overflow_exits_two_with_one_stderr_line(tmp_path, command, config):
     # RuntimeWarning lines, which are what this checks for.
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(config + "n_paths = 8\nbase_steps = 4\n")
-    src = str(Path(cli.__file__).resolve().parents[1])
+    src = str(Path(experiments.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "hedgelab", command, "--config", str(cfg_file), "--out", str(tmp_path / "out")],
@@ -440,3 +442,65 @@ def test_main_small_configs_exit_cleanly(command, keys):
             status = main([command, "--config", str(cfg_file), "--out", str(Path(tmp) / "out")])
     assert status in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+_LANES_CFG = "n_paths = 40\nbase_steps = 8\nrefinement_factors = 1,2,4\nseed = 12\n"
+
+
+def test_study_outputs_do_not_depend_on_the_usable_cpus(tmp_path, monkeypatch):
+    # With 8 * 33-element blocks the 9-, 17- and 33-point levels hold 2, 3
+    # and 5 blocks at one lane, so every level of every study runs on two
+    # lanes when two CPUs are usable, and on one when one is.
+    monkeypatch.setattr(experiments, "BUDGET", 8 * 33)
+    monkeypatch.setattr(accum, "BLOCK_ELEMENTS", 64)
+    run_lanes = experiments._run_lanes
+    lane_counts = []
+
+    def recording(lanes, *args):
+        lane_counts.append(lanes)
+        return run_lanes(lanes, *args)
+
+    monkeypatch.setattr(experiments, "_run_lanes", recording)
+    cfg = parse_config(_LANES_CFG)
+    outputs = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+        for command in ("verify", "hedge", "martingale"):
+            out = tmp_path / f"{cpus}" / command
+            assert run(command, cfg, out) == 0
+            outputs[cpus, command] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+    assert lane_counts == [2] * 7  # three levels each for verify and hedge, one for martingale
+    for command in ("verify", "hedge", "martingale"):
+        assert outputs[1, command] == outputs[2, command]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity mask on this platform")
+def test_usable_cpus_follow_the_affinity_mask():
+    # A fresh interpreter pinned to one CPU, as taskset -c would pin it,
+    # runs its studies on one lane.
+    cpu = min(os.sched_getaffinity(0))
+    code = f"import os; os.sched_setaffinity(0, {{{cpu}}}); from hedgelab import experiments; print(experiments._usable_cpus())"
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.stdout == "1\n"
+
+
+def test_main_failure_in_a_lane_exits_two_with_one_line(tmp_path, monkeypatch, capsys):
+    # The hedge study's first level holds 8 blocks of 6 paths at one lane;
+    # on three lanes the blocks of paths 18 and 35 fail with errors of their
+    # own. main reports the serial run's error, block 3's, in one line, with
+    # no thread traceback, and leaves --out empty.
+    monkeypatch.setattr(experiments, "BUDGET", 6 * 9)
+    monkeypatch.setattr(accum, "BLOCK_ELEMENTS", 1)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 3)
+    ran = []
+    monkeypatch.setattr(
+        experiments, "_block_hedge_errors", lambda cfg, mkt, work, out: fail_in_blocks_3_and_5(ran, mkt, work, out)
+    )
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("n_paths = 48\nbase_steps = 8\nrefinement_factors = 1,2,4\n")
+    out = tmp_path / "out"
+    assert main(["hedge", "--config", str(cfg_file), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: block 3\n"
+    assert list(out.iterdir()) == []

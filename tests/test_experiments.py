@@ -1,6 +1,9 @@
 import dataclasses
 import math
+import sys
+import time
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from hedgelab.calculus import SampledSeries
 from hedgelab.cli import _default_martingale_roster
 from hedgelab.ledger import complete_bond, defect_series, enforce_self_financing, self_financing_defect
 from hedgelab.paths import GbmParams, generate_brownian, gbm_path, refine, uniform_grid
+from conftest import fail_in_blocks_3_and_5
 from hedgelab.strategies import (
     EuropeanCall,
     HoldingsSchedule,
@@ -492,3 +496,145 @@ def test_block_market_and_work_arrays_live_in_the_level_buffers(monkeypatch):
         assert not mkt.stock.flags.writeable
         assert all(np.shares_memory(w, w0) for w, w0 in zip(work, first_work))
     assert values[0].tobytes() == _market(cfg, uniform_grid(1.0, 8), 4, range(23), "physical").stock[:, -1].tobytes()
+
+
+def test_each_lane_reuses_its_own_level_buffers(monkeypatch):
+    # 23 paths on a 33-point grid, 6 a block at one lane (4 blocks), and 3,
+    # 2 and 1 a block at 2, 3 and 4 lanes. Each lane allocates its
+    # buffers once, so the blocks' stocks start at exactly `lanes` addresses.
+    # Holding every stock keeps a finished lane's buffer from being freed and
+    # its address handed to a lane that starts later. The head is the first
+    # block's even when that block finishes last.
+    cfg = small_cfg(n_paths=23, base_steps=8)
+    monkeypatch.setattr(experiments, "BUDGET", 6 * 33)
+    monkeypatch.setattr(accum, "BLOCK_ELEMENTS", 1)
+    for lanes in (2, 3, 4):
+        stocks = []
+
+        def fn(mkt, work, out):
+            stocks.append(mkt.stock)
+            out[0] = mkt.stock[:, -1]
+            start = (out.ctypes.data - out.base.ctypes.data) // out.itemsize
+            if start == 0:
+                time.sleep(0.05)
+            return False, start
+
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: lanes)
+        _, _, head = experiments._per_path(cfg, 4, "physical", fn, 1, n_work=2)
+        assert len({stock.__array_interface__["data"][0] for stock in stocks}) == lanes
+        assert head == 0
+
+
+@pytest.mark.parametrize("budget, lanes", [(20, 1), (60, 1), (66, 2), (100, 3), (7 * 33, 3)])
+def test_lane_blocks_together_stay_within_the_budget(monkeypatch, budget, lanes):
+    # 23 paths on a 33-point grid with three usable CPUs. Below 66 elements
+    # a second lane's one-path block would overflow BUDGET, so the level
+    # runs serially, also at 20 where one path alone is over BUDGET; from
+    # 66 on, all lanes' blocks together stay within it. Holding every stock
+    # keeps each lane's buffer address its own.
+    cfg = small_cfg(n_paths=23, base_steps=8)
+    monkeypatch.setattr(experiments, "BUDGET", budget)
+    monkeypatch.setattr(accum, "BLOCK_ELEMENTS", 1)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 3)
+    stocks = []
+
+    def fn(mkt, work, out):
+        stocks.append(mkt.stock)
+        out[0] = mkt.stock[:, -1]
+        return False, None
+
+    experiments._per_path(cfg, 4, "physical", fn, 1, n_work=2)
+    assert len({stock.__array_interface__["data"][0] for stock in stocks}) == lanes
+    if lanes > 1:
+        assert lanes * max(len(stock) for stock in stocks) * 33 <= budget
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize(
+    "study, steps_per_path, bound",
+    [
+        (defect_refinement_study, 64 * 16, 6.495),
+        (hedging_convergence, 64 * 16, 4.75),
+        (lambda cfg: martingale_test(cfg, _default_martingale_roster(cfg)), 64, 9.135),
+    ],
+    ids=["defect_refinement_study", "hedging_convergence", "martingale_test"],
+)
+def test_study_peak_memory_bound_holds_on_one_and_two_lanes(monkeypatch, cpus, study, steps_per_path, bound):
+    # The serial bounds of test_study_peak_memory_in_full_size_arrays, on
+    # one usable CPU and on two. In the refinement and hedging studies the
+    # 1025-point level's two serial blocks become two lanes of half-size
+    # blocks, whose buffers and temporaries together are no larger than one
+    # serial block's; the martingale study's one level fits one block.
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+    cfg = ExperimentConfig(
+        n_paths=400, base_steps=64, refinement_factors=(1, 4, 16), seed=3, strike=100.0,
+    )
+    peak = _peak_bytes(lambda: study(cfg)) / (cfg.n_paths * (steps_per_path + 1) * 8)
+    assert peak <= bound, f"peak {peak:.2f} full-size arrays > {bound}"
+
+
+_LEVEL_FNS = {
+    "defects": (4, "physical", lambda cfg: partial(experiments._block_defects, cfg), 2, 5),
+    "hedge_errors": (2, "physical", lambda cfg: partial(experiments._block_hedge_errors, cfg), 1, 2),
+    "discounted": (
+        1, "risk_neutral",
+        lambda cfg: partial(experiments._block_discounted, _default_martingale_roster(cfg)), 4, 2,
+    ),
+}
+
+
+@pytest.mark.parametrize("level", _LEVEL_FNS.values(), ids=_LEVEL_FNS.keys())
+def test_per_path_is_bitwise_equal_at_any_lane_count(monkeypatch, level):
+    # The block-size test's 53 paths and budgets. Single-row comp_cumsum
+    # blocks leave the lane count uncapped by BUDGET // BLOCK_ELEMENTS
+    # wherever the level has more than one block: at 7 * 33, 2 and 3 lanes
+    # run blocks of 3 and 2 paths on the 33-point grid, a short last one
+    # included.
+    factor, measure, make_fn, n_values, n_work = level
+    cfg = small_cfg(n_paths=53, base_steps=8)
+    monkeypatch.setattr(accum, "BLOCK_ELEMENTS", 1)
+    runs = []
+    for budget in (1, 7 * 33, 53 * 33):
+        monkeypatch.setattr(experiments, "BUDGET", budget)
+        for lanes in (1, 2, 3):
+            monkeypatch.setattr(experiments, "_usable_cpus", lambda: lanes)
+            values, flag, head = experiments._per_path(cfg, factor, measure, make_fn(cfg), n_values, n_work)
+            runs.append((values.tobytes(), flag, head))
+    assert all(run == runs[0] for run in runs)
+
+
+def test_more_lanes_than_cpus_under_rapid_switching_give_the_serial_values(monkeypatch):
+    # Six lanes of one path a block each on 53 paths, switching threads
+    # every microsecond: a block written to the wrong columns, or a flag
+    # lost between lanes, would show against the serial run.
+    cfg = small_cfg(n_paths=53, base_steps=8)
+    monkeypatch.setattr(experiments, "BUDGET", 8 * 33)
+    monkeypatch.setattr(accum, "BLOCK_ELEMENTS", 1)
+    fn = partial(experiments._block_defects, cfg)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
+    values, flag, head = experiments._per_path(cfg, 4, "physical", fn, 2, n_work=5)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 6)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = experiments._per_path(cfg, 4, "physical", fn, 2, n_work=5)
+    finally:
+        sys.setswitchinterval(interval)
+    assert (got[0].tobytes(), got[1], got[2]) == (values.tobytes(), flag, head)
+    assert flag
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 3])
+def test_lanes_raise_the_lowest_failing_blocks_error(monkeypatch, lanes):
+    # 6 * 9-element blocks at one lane: 6, 3 and 2 paths a block at 1, 2
+    # and 3 lanes, and paths 18 and 35 land on different lanes. Every path
+    # below 18 still runs, and block 3's error is the one raised, as in a
+    # serial run.
+    cfg = small_cfg(n_paths=48, base_steps=8)
+    monkeypatch.setattr(experiments, "BUDGET", 6 * 9)
+    monkeypatch.setattr(accum, "BLOCK_ELEMENTS", 1)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: lanes)
+    ran = []
+    with pytest.raises(ValueError, match="block 3"):
+        experiments._per_path(cfg, 1, "physical", partial(fail_in_blocks_3_and_5, ran), 1)
+    assert set(range(18)) <= {i for paths in ran for i in paths}
