@@ -276,8 +276,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        text = args.config.read_text() if args.config is not None else ""
-    except OSError as exc:
+        text = args.config.read_text(encoding="utf-8") if args.config is not None else ""
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
     try:

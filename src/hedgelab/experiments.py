@@ -14,8 +14,8 @@ all n_paths, so no output depends on the block size, and memory is one
 block plus the per-path scalars whatever n_paths is.
 
 One block loop, _per_path, runs the blocks of a study level on one or
-more lanes. A lane is a thread with its own block buffers, allocated once
-and reused for every block it runs: the market is drawn and built in them
+more lanes. A lane is one function with its own block buffers, allocated
+once and reused for every block it runs: the market is drawn and built in them
 without a copy, and the study's holdings and ledger series are written
 into its work arrays through the kernels' out= arguments
 (delta_hedge_holdings, constant_mix_holdings, defect_series), the same
@@ -25,13 +25,15 @@ them. Each lane writes its blocks' per-path values into their own columns
 of one result array, and the study reduces it once, so no output depends
 on the lane count.
 
-Threads suffice because a block's work is numpy and scipy code that
-releases the interpreter lock: ufunc loops, np.add.accumulate, the Philox
-fills and scipy's ndtr. A study runs one lane per usable CPU, at most 8,
-and serially on a process with one usable CPU or on a level that fits
-one block. Only 1 and 2 lanes have been timed (on a 2-vCPU host); more
-lanes, and hosts whose CPU quota is below their affinity mask, are
-untimed.
+Lane 0 runs on the calling thread and every other lane on a thread of its
+own, so a level on one lane starts no thread. Threads suffice because a
+block's work is numpy and scipy code that releases the interpreter lock:
+ufunc loops, np.add.accumulate, the Philox fills and scipy's ndtr. A study
+runs one lane per usable CPU, at most 8, and one lane on a process with
+one usable CPU or on a level that fits one block. An interrupt returns
+only after every lane has left its blocks. Only 1 and 2 lanes have been
+timed (on a 2-vCPU host); more lanes, and hosts whose CPU quota is below
+their affinity mask, are untimed.
 """
 
 from __future__ import annotations
@@ -212,18 +214,19 @@ def _per_path(cfg: ExperimentConfig, factor: int, measure: str, fn, n_values: in
 
     The level's grid is the base grid refined by `factor`, n_points points.
     It runs on lanes = min(_usable_cpus(), BUDGET // accum.BLOCK_ELEMENTS,
-    blocks, BUDGET // n_points) threads, at least one, where `blocks` is
-    the level's block count at one lane, so a level that fits one block,
-    or whose grid has more than BUDGET / 2 points, runs serially. A block
+    blocks, BUDGET // n_points), at least one, where `blocks` is the
+    level's block count at one lane, so a level that fits one block, or
+    whose grid has more than BUDGET / 2 points, runs on one lane. A block
     holds rows = min(max(1, BUDGET // lanes // n_points), n_paths)
     consecutive path indices (fewer in the last), so lanes * rows *
-    n_points <= BUDGET wherever the serial block fits BUDGET: all lanes'
-    blocks together are no larger than the serial block. Each lane
-    allocates its own buffers once, rows paths each: the base draw, the
-    stock (which also holds the level's draw, see _market) and `n_work`
-    (rows, n_points) float64 work arrays. Every block the lane runs reuses
-    them, so no block allocates, or faults in, block-sized memory again.
-    Lane j runs blocks j, j + lanes, ... (see _run_lanes).
+    n_points <= BUDGET wherever the one-lane block fits BUDGET: all lanes'
+    blocks together are no larger than the one-lane block. Lane 0 runs on
+    the calling thread and lanes 1 ... lanes - 1 on threads of their own,
+    so a one-lane level starts no thread. Lane j allocates its own buffers
+    once, rows paths each: the base draw, the stock (which also holds the
+    level's draw, see _market) and `n_work` (rows, n_points) float64 work
+    arrays, and runs blocks j, j + lanes, ... in increasing order in them,
+    so no block allocates, or faults in, block-sized memory again.
 
     fn(mkt, work, out) gets the block's market, built on the lane's buffers
     without a copy, the row slices of its work arrays, and the block's
@@ -232,6 +235,14 @@ def _per_path(cfg: ExperimentConfig, factor: int, measure: str, fn, n_values: in
     the lane's next block rewrites them. fn returns (flag, head), a bool
     and any block-level value. fn must set any np.errstate it relies on
     itself: a lane thread starts from numpy's default error state.
+
+    A lane stops at its first exception, charged to the block it was
+    running (to block -1 if its buffers cannot be allocated), so every
+    block below the lowest failing block runs, on one lane or another, and
+    the exception raised is the lowest failing block's, the one a one-lane
+    run raises. An interrupt (or any exception that reaches the calling
+    thread outside a block) stops every lane before its next block and is
+    re-raised once every lane has left its blocks.
 
     Returns the (n_values, n_paths) values, the flags OR-ed over blocks and
     the head of the first block, the one holding path 0. No value depends
@@ -242,72 +253,56 @@ def _per_path(cfg: ExperimentConfig, factor: int, measure: str, fn, n_values: in
     serial_blocks = -(-cfg.n_paths // max(1, BUDGET // n_points))
     lanes = max(1, min(_usable_cpus(), BUDGET // accum.BLOCK_ELEMENTS, serial_blocks, BUDGET // n_points))
     rows = min(max(1, BUDGET // lanes // n_points), cfg.n_paths)
-    values = np.empty((n_values, cfg.n_paths))
-    heads = []
-
-    def lane(blocks) -> bool:
-        base = np.empty((rows, cfg.base_steps)) if factor > 1 else None
-        stock = np.empty((rows, n_points))
-        work = [np.empty((rows, n_points)) for _ in range(n_work)]
-        flag = False
-        for i in blocks:
-            block = range(i * rows, min((i + 1) * rows, cfg.n_paths))
-            k = len(block)
-            mkt = _market(cfg, grid, factor, block, measure, (None if base is None else base[:k], stock[:k]))
-            moved, head = fn(mkt, [buf[:k] for buf in work], values[:, block.start : block.stop])
-            flag |= moved
-            if i == 0:
-                heads.append(head)
-        return flag
-
     n_blocks = -(-cfg.n_paths // rows)
-    flags = [lane(range(n_blocks))] if lanes == 1 else _run_lanes(lanes, n_blocks, lane)
-    return values, any(flags), heads[0]
-
-
-def _run_lanes(lanes: int, n_blocks: int, lane) -> list:
-    """Run lane(blocks) on `lanes` threads, lane j on blocks j, j + lanes,
-    ... in increasing order, and return the lanes' results in lane order.
-
-    A lane stops at its first exception, so every block below the lowest
-    failing block runs, on one lane or another, and the exception raised
-    here is the lowest failing block's, the one a serial run raises. An
-    exception in the caller while it waits (an interrupt) stops every lane
-    before its next block and is re-raised once they have stopped.
-    """
-    failures: list[tuple[int, BaseException]] = []  # (block index, exception)
+    values = np.empty((n_values, cfg.n_paths))
+    flags = [False] * lanes
+    heads = []
+    failures: list[tuple[int, BaseException]] = []  # (block index, exception), at most one a lane
+    done = [threading.Event() for _ in range(lanes)]
     stopped = False
-    current = [-1] * lanes  # the block each lane is running; -1 before its first
-    results = [None] * lanes
 
-    def blocks(j: int):
-        for i in range(j, n_blocks, lanes):
-            if stopped:
-                return
-            current[j] = i
-            yield i
-
-    def run(j: int) -> None:
+    def lane(j: int) -> None:
+        i = -1
         try:
-            results[j] = lane(blocks(j))
-        except BaseException as exc:  # handed to the caller, which re-raises the lowest block's
-            failures.append((current[j], exc))
+            base = np.empty((rows, cfg.base_steps)) if factor > 1 else None
+            stock = np.empty((rows, n_points))
+            work = [np.empty((rows, n_points)) for _ in range(n_work)]
+            for i in range(j, n_blocks, lanes):
+                if stopped:
+                    return
+                block = range(i * rows, min((i + 1) * rows, cfg.n_paths))
+                k = len(block)
+                mkt = _market(cfg, grid, factor, block, measure, (None if base is None else base[:k], stock[:k]))
+                moved, head = fn(mkt, [buf[:k] for buf in work], values[:, block.start : block.stop])
+                flags[j] |= moved
+                if i == 0:
+                    heads.append(head)
+        except BaseException as exc:  # the caller raises the lowest failing block's
+            failures.append((i, exc))
+            if j == 0 and not isinstance(exc, Exception):
+                raise  # an interrupt of lane 0, on the calling thread: stop every lane
+        finally:
+            done[j].set()
 
-    threads = [threading.Thread(target=run, args=(j,), name=f"hedgelab-lane-{j}") for j in range(lanes)]
+    threads = [threading.Thread(target=lane, args=(j,), name=f"hedgelab-lane-{j}") for j in range(1, lanes)]
     try:
         for thread in threads:
             thread.start()
-        for thread in threads:
-            thread.join()
-    except BaseException:
+        lane(0)
+        for event in done:
+            event.wait()
+    except BaseException:  # an interrupt, which only the calling thread receives
         stopped = True
-        for thread in threads:
-            if thread.is_alive():
-                thread.join()
+        # Thread.join, interrupted, can mark a running thread stopped, so
+        # each lane is waited for on the event it sets last. A thread with
+        # no ident yet has not begun its lane and sees `stopped` first.
+        for thread, event in zip(threads, done[1:]):
+            if thread.ident is not None:
+                event.wait()
         raise
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
-    return results
+    return values, any(flags), heads[0]
 
 
 def _max_abs_defect(a: np.ndarray, b: np.ndarray, mkt: MarketPath, series, out: np.ndarray) -> None:

@@ -163,7 +163,7 @@ def bs_delta(s, strike: float, vol: float, rate: float, tau, out=None):
     srt = vol * np.sqrt(tau_arr)
     d1 = _out(out, np.broadcast(s_arr, tau_arr).shape, s_arr, tau_arr)
     # (log(s / strike) + (rate + vol^2 / 2) * tau) / srt, one operation at a time in d1.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         np.divide(s_arr, strike, out=d1)
         np.log(d1, out=d1)
         d1 += (rate + 0.5 * vol * vol) * tau_arr

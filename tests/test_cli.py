@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -284,6 +285,15 @@ def test_main_missing_config_file(tmp_path, capsys):
     assert status == 2
 
 
+def test_main_config_that_is_not_utf8_exits_two_with_one_line(tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_bytes(b"s0 = 100\n\xff\xfe\n")
+    status = main(["verify", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert status == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: cannot read config: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_repeated_runs_are_byte_identical(tmp_path):
     cfg = parse_config(SMALL)
     run("verify", cfg, tmp_path / "a")
@@ -349,6 +359,22 @@ def test_overflow_exits_two_with_one_stderr_line(tmp_path, command, config):
     assert proc.returncode == 2
     (line,) = proc.stderr.splitlines()
     assert line.startswith("error:")
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_moneyness_overflow_exits_zero_with_empty_stderr(tmp_path, command):
+    # s / strike overflows for a subnormal strike; every delta is its limit,
+    # 1, and numpy prints no RuntimeWarning (a fresh interpreter, as above).
+    # 100 paths: at 8 the martingale cash-injection control is inside its band.
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("strike = 5e-324\nn_paths = 100\nbase_steps = 4\n")
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "hedgelab", command, "--config", str(cfg_file), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 @pytest.mark.parametrize("command", cli.COMMANDS)
@@ -450,26 +476,34 @@ _LANES_CFG = "n_paths = 40\nbase_steps = 8\nrefinement_factors = 1,2,4\nseed = 1
 def test_study_outputs_do_not_depend_on_the_usable_cpus(tmp_path, monkeypatch):
     # With 8 * 33-element blocks the 9-, 17- and 33-point levels hold 2, 3
     # and 5 blocks at one lane, so every level of every study runs on two
-    # lanes when two CPUs are usable, and on one when one is.
+    # lanes when two CPUs are usable, and on one when one is: a level's lane
+    # count is the number of threads its markets are built on.
     monkeypatch.setattr(experiments, "BUDGET", 8 * 33)
     monkeypatch.setattr(accum, "BLOCK_ELEMENTS", 64)
-    run_lanes = experiments._run_lanes
-    lane_counts = []
+    per_path, market = experiments._per_path, experiments._market
+    threads = []
 
-    def recording(lanes, *args):
-        lane_counts.append(lanes)
-        return run_lanes(lanes, *args)
+    def recording_per_path(*args, **kwargs):
+        threads.append(set())
+        return per_path(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, "_run_lanes", recording)
+    def recording_market(*args, **kwargs):
+        threads[-1].add(threading.get_ident())
+        return market(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "_per_path", recording_per_path)
+    monkeypatch.setattr(experiments, "_market", recording_market)
     cfg = parse_config(_LANES_CFG)
     outputs = {}
     for cpus in (1, 2):
         monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+        threads.clear()
         for command in ("verify", "hedge", "martingale"):
             out = tmp_path / f"{cpus}" / command
             assert run(command, cfg, out) == 0
             outputs[cpus, command] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
-    assert lane_counts == [2] * 7  # three levels each for verify and hedge, one for martingale
+        # three levels each for verify and hedge, one for martingale
+        assert [len(level) for level in threads] == [cpus] * 7
     for command in ("verify", "hedge", "martingale"):
         assert outputs[1, command] == outputs[2, command]
 

@@ -1,6 +1,9 @@
 import dataclasses
 import math
+import os
+import signal
 import sys
+import threading
 import time
 import tracemalloc
 from functools import partial
@@ -638,3 +641,49 @@ def test_lanes_raise_the_lowest_failing_blocks_error(monkeypatch, lanes):
     with pytest.raises(ValueError, match="block 3"):
         experiments._per_path(cfg, 1, "physical", partial(fail_in_blocks_3_and_5, ran), 1)
     assert set(range(18)) <= {i for paths in ran for i in paths}
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="os.kill cannot send this process a SIGINT on Windows")
+@pytest.mark.parametrize("lanes", [1, 2, 3])
+def test_interrupt_returns_after_every_lane_has_left_its_blocks(monkeypatch, lanes):
+    # 4800 paths in blocks of 6, 3 and 2 at 1, 2 and 3 lanes. The block
+    # holding path `trigger` sends this process a real SIGINT and stays in
+    # its block a while longer; the trigger moves between repeats, so it
+    # lands on every lane. When KeyboardInterrupt reaches the caller, no
+    # lane thread is in a block, and no block starts after that. The main
+    # thread's blocks are not counted: the interrupt is raised in them.
+    # The lanes stop within a few blocks, long before the middle path.
+    cfg = small_cfg(n_paths=4800, base_steps=8)
+    monkeypatch.setattr(experiments, "BUDGET", 6 * 9)
+    monkeypatch.setattr(accum, "BLOCK_ELEMENTS", 1)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: lanes)
+    lock = threading.Lock()
+    for trigger in range(30, 50):
+        state = {"in_flight": 0, "caught": False, "late": 0, "last": 0}
+
+        def fn(mkt, work, out):
+            counted = threading.current_thread() is not threading.main_thread()
+            start = (out.ctypes.data - out.base.ctypes.data) // out.itemsize
+            with lock:
+                state["in_flight"] += counted
+                state["late"] += state["caught"]
+                state["last"] = max(state["last"], start)
+            try:
+                if start <= trigger < start + out.shape[-1]:
+                    os.kill(os.getpid(), signal.SIGINT)
+                    time.sleep(0.02)
+                time.sleep(0.001)
+                out[...] = 0.0
+                return False, None
+            finally:
+                with lock:
+                    state["in_flight"] -= counted
+
+        with pytest.raises(KeyboardInterrupt):
+            experiments._per_path(cfg, 1, "physical", fn, 1)
+        with lock:
+            in_flight = state["in_flight"]
+            state["caught"] = True
+        time.sleep(0.05)
+        assert (in_flight, state["late"]) == (0, 0), f"trigger path {trigger}"
+        assert state["last"] < cfg.n_paths // 2

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -197,6 +198,14 @@ def test_bs_delta_on_the_sigma_zero_kink_is_the_vol_limit():
         bs_delta(np.array([100.0, 120.0]), 100.0, 0.0, 0.0, np.array([0.0, 0.5]))
     with pytest.raises(ValueError, match="infinite"):
         bs_delta(100.0, 100.0, math.inf, 0.0, 1.0)  # inf/inf, not the kink
+
+
+def test_bs_delta_whose_moneyness_overflows_is_its_limit_without_a_warning():
+    # s / strike overflows to inf for a subnormal strike, so d1 = +inf.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert bs_delta(100.0, 5e-324, 0.2, 0.05, 1.0) == 1.0
+        assert bs_delta(np.array([100.0, 1e-300]), 5e-324, 0.2, 0.05, 1.0).tolist() == [1.0, 1.0]
 
 
 @pytest.mark.parametrize("fn", [bs_price, bs_delta])
