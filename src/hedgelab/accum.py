@@ -43,7 +43,7 @@ import math
 
 import numpy as np
 
-# Elements per row block. The block's three work buffers stay in cache,
+# Elements per row block. The block's two work buffers stay in cache,
 # and peak memory is the output plus one block.
 BLOCK_ELEMENTS = 1 << 15
 
@@ -64,8 +64,9 @@ def _out(out, shape, *inputs) -> np.ndarray:
         raise ValueError(f"out must be a float64 array of shape {tuple(shape)}")
     if not out.flags.writeable:
         raise ValueError("out must be writeable")
-    if any(np.may_share_memory(out, x) for x in inputs):
-        raise ValueError("out must not overlap an input")
+    for x in inputs:
+        if np.may_share_memory(out, x):
+            raise ValueError("out must not overlap an input")
     return out
 
 
@@ -81,6 +82,9 @@ def _same_view(x: np.ndarray, y: np.ndarray) -> bool:
     return np.may_share_memory(x[first], y[first])
 
 
+# Overflow to inf and inf - inf are part of the recurrence's IEEE semantics,
+# as in the scalar loop, not errors to report.
+@np.errstate(over="ignore", invalid="ignore")
 def comp_cumsum(terms, axis: int = -1, out=None) -> np.ndarray:
     """Running compensated sums from zero: out[..., k] = sum(terms[..., :k]).
 
@@ -108,35 +112,36 @@ def comp_cumsum(terms, axis: int = -1, out=None) -> np.ndarray:
         shape[axis] += 1
         result = _out(out, shape)
         swapped = result.swapaxes(axis, -1)
-        if np.may_share_memory(result, full) and not _same_view(swapped[..., 1:], arr):
+        if not _same_view(swapped[..., 1:], arr) and np.may_share_memory(result, full):
             raise ValueError("out must not overlap an input")
         flat = swapped.reshape(m, n + 1)
         copy_back = not np.may_share_memory(flat, result)  # lines that do not flatten in place
     b = max(1, min(BLOCK_ELEMENTS // (n + 1) + 1, m))  # rows per block
+    # Two work buffers, s and t. The compensation c is accumulated in the
+    # result's own rows, then s is added to it there.
     s = np.zeros((b, n + 1))
-    c = np.zeros((b, n + 1))
     t = np.empty((b, n))
-    prev, cur, e = s[:, :-1], s[:, 1:], c[:, 1:]
-    # Overflow to inf and inf - inf are part of the recurrence's IEEE
-    # semantics, as in the scalar loop, not errors to report.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, m, b):
-            hi = min(lo + b, m)
-            if hi - lo < b:  # rows are independent: the last block may be short
-                s, c, t = s[: hi - lo], c[: hi - lo], t[: hi - lo]
-                prev, cur, e = s[:, :-1], s[:, 1:], c[:, 1:]
-            # x may be the result's own rows (in place): every read of x
-            # comes before the block's result lands on them.
-            x = rows[lo:hi]
-            cur[...] = x
-            np.add.accumulate(s, axis=1, out=s)
-            np.subtract(cur, prev, out=t)  # bb = s - s_prev
-            np.subtract(x, t, out=e)  # x - bb
-            np.subtract(cur, t, out=t)  # s - bb
-            np.subtract(prev, t, out=t)  # s_prev - (s - bb)
-            e += t
-            np.add.accumulate(c, axis=1, out=c)
-            np.add(s, c, out=flat[lo:hi])
+    flat[:, 0] = 0.0
+    prev, cur = s[:, :-1], s[:, 1:]
+    for lo in range(0, m, b):
+        hi = min(lo + b, m)
+        if hi - lo < b:  # rows are independent: the last block may be short
+            s, t = s[: hi - lo], t[: hi - lo]
+            prev, cur = s[:, :-1], s[:, 1:]
+        # x may be the result's own rows (in place), which e overwrites
+        # element by element as it reads them; x is not read after that.
+        x = rows[lo:hi]
+        c = flat[lo:hi]
+        e = c[:, 1:]
+        cur[...] = x
+        np.add.accumulate(s, axis=1, out=s)
+        np.subtract(cur, prev, out=t)  # bb = s - s_prev
+        np.subtract(x, t, out=e)  # x - bb
+        np.subtract(cur, t, out=t)  # s - bb
+        np.subtract(prev, t, out=t)  # s_prev - (s - bb)
+        e += t
+        np.add.accumulate(c, axis=1, out=c)
+        np.add(s, c, out=c)
     if copy_back:
         np.copyto(result, flat.reshape(*lines, n + 1).swapaxes(axis, -1))
     return result

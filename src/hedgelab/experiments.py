@@ -472,6 +472,8 @@ def hedging_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     """
     if len(cfg.refinement_factors) < 3:
         raise ValueError("need at least 3 refinement levels to fit a slope")
+    if cfg.n_paths < 2:
+        raise ValueError("hedging convergence needs n_paths >= 2 for a standard error")
     atol = DEFAULT_TOLERANCES["value_atol"]
     fn = partial(_block_hedge_errors, cfg)
     rows = []
@@ -482,7 +484,7 @@ def hedging_convergence(cfg: ExperimentConfig) -> ExperimentResult:
         (err_sq,), _, _ = _per_path(cfg, factor, "physical", fn, 1, n_work=2)
         with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan is refused by its ResultRow
             rms = math.sqrt(float(np.mean(err_sq)))
-            if rms > 0.0 and cfg.n_paths > 1:
+            if rms > 0.0:
                 stderr = float(np.std(err_sq, ddof=1)) / (2.0 * rms * math.sqrt(cfg.n_paths))
             else:
                 stderr = 0.0

@@ -76,7 +76,7 @@ def defect_series(a, b, stock, bond, out=None) -> tuple[np.ndarray, np.ndarray, 
     # swapped (IEEE * commutes), so no path-sized temporary is allocated.
     steps = np.subtract(stock[..., 1:], stock[..., :-1], out=defect[..., :-1])  # dS
     steps *= a[..., :-1]
-    steps += np.multiply(b[..., :-1], np.diff(bond), out=value[..., :-1])
+    steps += np.multiply(b[..., :-1], bond[1:] - bond[:-1], out=value[..., :-1])
     gain = comp_cumsum(steps, axis=-1, out=gain)
     np.multiply(a, stock, out=value)
     value += np.multiply(b, bond, out=defect)
@@ -105,12 +105,19 @@ def complete_bond(a, stock, bond, y0: float, out=None) -> np.ndarray:
     return b
 
 
-def _step_terms(h: HoldingsSchedule, m: MarketPath) -> np.ndarray:
-    """The four rebalancing terms of each grid interval, stacked (4, n_points - 1):
-    S_k da_k, da_k dS_k, beta_k db_k and db_k dbeta_k."""
-    da = np.diff(h.a)
-    db = np.diff(h.b)
-    return np.stack((m.stock[:-1] * da, da * np.diff(m.stock), m.bond[:-1] * db, db * np.diff(m.bond)))
+def _step_terms(h: HoldingsSchedule, m: MarketPath, out: np.ndarray) -> np.ndarray:
+    """The four rebalancing terms of each grid interval, written into the
+    rows of `out`, shape (4, n_points - 1), and returned: S_k da_k,
+    da_k dS_k, beta_k db_k and db_k dbeta_k."""
+    s_da, da_ds, beta_db, db_dbeta = out
+    # da and db are built in the rows that end as da dS and db dbeta.
+    da = np.subtract(h.a[1:], h.a[:-1], out=da_ds)
+    np.multiply(m.stock[:-1], da, out=s_da)
+    da *= m.stock[1:] - m.stock[:-1]
+    db = np.subtract(h.b[1:], h.b[:-1], out=db_dbeta)
+    np.multiply(m.bond[:-1], db, out=beta_db)
+    db *= m.bond[1:] - m.bond[:-1]
+    return out
 
 
 def self_financing_defect(h: HoldingsSchedule, m: MarketPath) -> LedgerReport:
@@ -135,7 +142,8 @@ def ito_expansion_terms(
     without being individually zero.
     """
     h.grid.require_same(m.grid)
-    return tuple(SampledSeries(h.grid, _Owned(series)) for series in comp_cumsum(_step_terms(h, m)))
+    terms = _step_terms(h, m, np.empty((4, h.grid.n_points - 1)))
+    return tuple([SampledSeries(h.grid, _Owned(row)) for row in comp_cumsum(terms)])
 
 
 def enforce_self_financing(a: SampledSeries, m: MarketPath, y0: float) -> HoldingsSchedule:
@@ -156,7 +164,7 @@ def write_ledger_csv(h: HoldingsSchedule, m: MarketPath, dest) -> Path:
     """
     report = self_financing_defect(h, m)
     steps = np.zeros((4, h.grid.n_points))
-    steps[:, 1:] = _step_terms(h, m)
+    _step_terms(h, m, steps[:, 1:])
     columns = (m.grid.times, m.stock, m.bond, h.a, h.b, report.value, report.gain, report.defect, *steps)
     dest = Path(dest)
     with open(dest, "w", newline="") as fh:

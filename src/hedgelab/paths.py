@@ -21,6 +21,11 @@ once, and each row is bit for bit the single-path draw. refine and gbm_path
 take the batch as they take one path.
 
 Every value type's arrays are checked and frozen by one rule, _freeze.
+
+A TimeGrid keeps what depends on it alone, computed on first use: its
+step lengths dt, their square roots and the bond path of the last rate
+asked. `grid.dt` is therefore read-only and the same array on every read;
+a caller that writes step lengths copies them first.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -54,9 +60,9 @@ def _integer(name: str, value) -> int:
 
 
 class _Owned:
-    """A float64 array the library has just built, handed to a value type's
-    constructor without the copy a caller's array gets: nothing else writes
-    it. The object keeps a read-only view of it, so an object built on a
+    """A float64 array the library has just built, or the read-only array of
+    another value, handed to a value type's constructor without the copy a
+    caller's array gets: nothing else writes it. The object keeps a read-only view of it, so an object built on a
     buffer (`out=` of generate_brownian, refine and gbm_path, a study
     block's buffers) is valid only until that buffer is rewritten."""
 
@@ -73,27 +79,51 @@ def _readonly(values) -> np.ndarray:
     return arr
 
 
+def _extremes(values) -> tuple:
+    """The least and greatest of a number or an array of any shape: NaN
+    if it holds a NaN (argmin and argmax stop at the first), and
+    (inf, -inf) when it is empty. Cheaper than a ufunc reduction."""
+    if isinstance(values, (int, float)):
+        return values, values
+    arr = np.asarray(values, dtype=float)
+    if not arr.size:
+        return math.inf, -math.inf
+    return arr.item(arr.argmin()), arr.item(arr.argmax())
+
+
+# The value rules of _freeze: the bound every value must exceed, and what
+# the rule is called in its error.
+_RULES = {"finite": (-math.inf, "finite"), "positive": (0.0, "positive and finite")}
+
+
 def _freeze(obj, names: tuple[str, ...], points: int, *, batch: bool = False, rule: str | None = "finite") -> None:
     """The one array check of the value types: set each field in `names` of
     the frozen `obj` to its `_readonly` form, which must hold one value per
     grid point (or interval), shape (points,), or (n_paths, points) when
     `batch`, and obey `rule`: "finite", "positive" (positive and finite)
     or None. Each error names the field."""
+    ndims = (1, 2) if batch else (1,)
     for name in names:
         arr = _readonly(getattr(obj, name))
-        if arr.shape[-1:] != (points,) or arr.ndim not in ((1, 2) if batch else (1,)):
+        if arr.ndim not in ndims or arr.shape[-1] != points:
             shape = f"({points},) or (n_paths, {points})" if batch else f"({points},)"
             raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-        if rule == "positive" and not (np.all(arr > 0.0) and np.all(np.isfinite(arr))):
-            raise ValueError(f"{name} values must be positive and finite")
-        if rule == "finite" and not np.all(np.isfinite(arr)):
-            raise ValueError(f"{name} values must be finite")
+        if rule is not None:
+            bound, called = _RULES[rule]
+            least, greatest = _extremes(arr)
+            if not (least > bound and greatest < math.inf):
+                raise ValueError(f"{name} values must be {called}")
         object.__setattr__(obj, name, arr)
 
 
 @dataclass(frozen=True, eq=False)
 class TimeGrid:
-    """Strictly increasing instants in years, from 0 to the horizon T > 0."""
+    """Strictly increasing instants in years, from 0 to the horizon T > 0.
+
+    A grid is immutable, so what depends on it alone is computed once and
+    kept on it: `n_points`, the read-only step lengths `dt`, their square
+    roots, and the bond path of the last rate asked.
+    """
 
     times: np.ndarray
 
@@ -101,15 +131,16 @@ class TimeGrid:
         t = _readonly(self.times)
         if t.ndim != 1 or t.size < 2:
             raise ValueError("time grid needs at least 2 points")
-        if not np.all(np.isfinite(t)):
+        least, greatest = _extremes(t)
+        if not (least > -math.inf and greatest < math.inf):
             raise ValueError("time grid values must be finite")
         if t[0] != 0.0:
             raise ValueError("time grid must start at 0")
-        if not np.all(np.diff(t) > 0.0):
-            raise ValueError("time grid must be strictly increasing")
         object.__setattr__(self, "times", t)
+        if not _extremes(self.dt)[0] > 0.0:
+            raise ValueError("time grid must be strictly increasing")
 
-    @property
+    @cached_property
     def n_points(self) -> int:
         return int(self.times.size)
 
@@ -117,10 +148,23 @@ class TimeGrid:
     def horizon(self) -> float:
         return float(self.times[-1])
 
-    @property
+    @cached_property
     def dt(self) -> np.ndarray:
-        """Step lengths, one per interval."""
-        return np.diff(self.times)
+        """Step lengths, one per interval (read-only, the same array on every read)."""
+        return _readonly(_Owned(self.times[1:] - self.times[:-1]))
+
+    @cached_property
+    def _sqrt_dt(self) -> np.ndarray:
+        return _readonly(_Owned(np.sqrt(self.dt)))
+
+    def _bond(self, rate: float) -> np.ndarray:
+        """The read-only money-market path exp(rate * t_k), kept for the last
+        rate asked (a race between threads computes the same bits twice)."""
+        kept = self.__dict__.get("_kept_bond")
+        if kept is None or kept[0] != rate:
+            kept = (rate, _readonly(_Owned(np.exp(rate * self.times))))
+            self.__dict__["_kept_bond"] = kept  # as cached_property stores, past the frozen __setattr__
+        return kept[1]
 
     def require_same(self, other: "TimeGrid") -> None:
         """Raise unless `other` holds the same instants (operands must share a grid)."""
@@ -297,7 +341,7 @@ def generate_brownian(grid: TimeGrid, seed: int, path_index: int | range = 0, *,
         index = _integer("path_index", path_index)
     key = (_seed(seed), index)
     z = _keyed_normals(key, (grid.n_points - 1,), out)
-    z *= np.sqrt(grid.dt)
+    z *= grid._sqrt_dt
     return BrownianPath(grid, _Owned(z), key=key)
 
 
@@ -321,6 +365,9 @@ def _gbm_stock(params: GbmParams, w: BrownianPath, measure: str, out=None) -> np
     return x
 
 
+# An overflow to inf, or the nan of inf * 0 at t = 0 that a sigma * sigma
+# overflow brings, is reported once, by MarketPath's positive-and-finite checks.
+@np.errstate(over="ignore", invalid="ignore")
 def gbm_path(params: GbmParams, w: BrownianPath, measure: str, *, out=None) -> MarketPath:
     """Exact-scheme GBM stock path plus deterministic bond path.
 
@@ -332,12 +379,8 @@ def gbm_path(params: GbmParams, w: BrownianPath, measure: str, *, out=None) -> M
     in it and the MarketPath holds it without a copy, so it is valid only
     until `out` is rewritten.
     """
-    # An overflow to inf, or the nan of inf * 0 at t = 0 that a sigma * sigma
-    # overflow brings, is reported once, by MarketPath's positive-and-finite checks.
-    with np.errstate(over="ignore", invalid="ignore"):
-        stock = _gbm_stock(params, w, measure, out)
-        bond = np.exp(params.r * w.grid.times)
-    return MarketPath(grid=w.grid, stock=_Owned(stock), bond=_Owned(bond), rate=params.r)
+    stock = _gbm_stock(params, w, measure, out)
+    return MarketPath(grid=w.grid, stock=_Owned(stock), bond=_Owned(w.grid._bond(params.r)), rate=params.r)
 
 
 def _bridge(xi: np.ndarray, h: np.ndarray, increments: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .accum import _out
-from .paths import MarketPath, TimeGrid, _freeze, _integer, _Owned
+from .paths import MarketPath, TimeGrid, _extremes, _freeze, _integer, _Owned
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -65,8 +65,8 @@ def constant_mix_holdings(stock, bond, w: float, wealth0: float, out=None) -> tu
     pair `out` (see accum._out)."""
     w = float(w)
     a_out, b_out = (None, None) if out is None else out
-    a = _out(a_out, np.shape(stock), stock, bond)
-    b = _out(b_out, np.shape(stock), stock, bond, a)
+    a = _out(a_out, stock.shape, stock, bond)
+    b = _out(b_out, stock.shape, stock, bond, a)
     wealth = float(wealth0)
     a[..., 0] = w * wealth / stock[..., 0]
     b[..., 0] = (1.0 - w) * wealth / bond[0]
@@ -104,19 +104,22 @@ def constant_mix(path: MarketPath, stock_weight: float, initial_wealth: float) -
 def _check_bs_args(s, strike: float, vol: float, rate: float, tau) -> None:
     """The argument rules of `bs_price` and `bs_delta`; s and tau may be arrays.
 
-    NaN fails every comparison, so it is refused with the rule it breaks.
+    An array obeys a bound when its least or greatest value does. NaN fails
+    every comparison, so it is refused with the rule it breaks.
     """
-    if not np.all(s > 0.0):
+    s_least, _ = _extremes(s)
+    tau_least, tau_greatest = _extremes(tau)
+    if not s_least > 0.0:
         raise ValueError("spot must be > 0")
     if not strike > 0.0:
         raise ValueError("strike must be > 0")
     if not vol >= 0.0:
         raise ValueError("vol must be >= 0")
-    if not np.all(tau >= 0.0):
+    if not tau_least >= 0.0:
         raise ValueError("tau must be >= 0")
     if not math.isfinite(rate):
         raise ValueError("rate must be finite")
-    if math.isinf(vol) or np.any(np.isinf(tau)):
+    if math.isinf(vol) or tau_greatest == math.inf:
         raise ValueError("Black-Scholes value undefined for infinite vol or tau")
 
 
@@ -170,11 +173,11 @@ def bs_delta(s, strike: float, vol: float, rate: float, tau, out=None):
         d1 /= srt
     # d1 is 0/0 on the kink, where srt = 0. Off the kink a NaN is inf - inf
     # (s / strike underflowing to 0 against vol * vol overflowing).
-    kink = np.isnan(d1)
-    if np.any(kink):
-        if np.any(kink & (srt != 0.0)):
+    if math.isnan(_extremes(d1)[0]):
+        kink = np.isnan(d1)
+        if (kink & (srt != 0.0)).any():
             raise ValueError("delta undefined: d1 is inf - inf")
-        if np.any(kink & (tau_arr == 0.0)):
+        if (kink & (tau_arr == 0.0)).any():
             raise ValueError("delta undefined at expiry on the strike (tau = 0 and s = strike)")
         d1[kink] = 0.0  # the vol -> 0 limit of d1 = srt / 2
     ndtr(d1, out=d1)
@@ -191,10 +194,10 @@ def delta_stock_holdings(option: EuropeanCall, stock, times, rate: float, vol: f
     """
     if not math.isclose(option.expiry, float(times[-1]), rel_tol=1e-12, abs_tol=0.0):
         raise ValueError("option expiry must equal the grid horizon")
-    a = _out(out, np.shape(stock), stock, times)
+    a = _out(out, stock.shape, stock, times)
     bs_delta(stock[..., :-1], option.strike, vol, rate, option.expiry - times[:-1], out=a[..., :-1])
     a[..., -1] = a[..., -2]
-    y0 = bs_price(float(stock.flat[0]), option.strike, vol, rate, option.expiry)
+    y0 = bs_price(stock.item(0), option.strike, vol, rate, option.expiry)
     return a, y0
 
 
@@ -233,12 +236,12 @@ def broken_strategy(
     bond price.
     """
     if mode == "frozen_bond":
-        return HoldingsSchedule(base.grid, base.a, _Owned(np.full_like(base.b, base.b[0])))
+        return HoldingsSchedule(base.grid, _Owned(base.a), _Owned(np.full_like(base.b, base.b[0])))
     if mode == "cash_injection":
         if path is None:
             raise ValueError("cash_injection needs the market path for the bond price")
         base.grid.require_same(path.grid)
-        return HoldingsSchedule(base.grid, base.a, _Owned(inject_cash(base.b, path.bond, amount, at_index)))
+        return HoldingsSchedule(base.grid, _Owned(base.a), _Owned(inject_cash(base.b, path.bond, amount, at_index)))
     raise ValueError(f"unknown mode {mode!r}")
 
 

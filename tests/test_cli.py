@@ -423,6 +423,17 @@ def test_main_martingale_single_path_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "out" / "martingale.csv").exists()
 
 
+def test_main_hedge_single_path_is_usage_error(tmp_path, capsys):
+    # One path has no standard error: every rms row would read stderr 0 and
+    # the slope would be fitted to a single path.
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("base_steps = 4\n")
+    status = main(["hedge", "--config", str(cfg_file), "--paths", "1", "--out", str(tmp_path / "out")])
+    assert status == 2
+    assert capsys.readouterr().err == "error: hedging convergence needs n_paths >= 2 for a standard error\n"
+    assert not (tmp_path / "out" / "hedging_convergence.csv").exists()
+
+
 KINK = "sigma = 0\nmu = 0\nr = 0\ns0 = 100\nstrike = 100\nn_paths = 8\nbase_steps = 4\n"
 
 

@@ -8,6 +8,7 @@ from hedgelab.experiments import ExperimentConfig
 from hedgelab.paths import (
     BrownianPath,
     GbmParams,
+    MarketPath,
     TimeGrid,
     generate_brownian,
     gbm_path,
@@ -43,6 +44,41 @@ def test_time_grid_invariants():
         TimeGrid(np.array([0.1, 0.5]))
     with pytest.raises(ValueError):
         TimeGrid(np.array([0.0, np.inf]))
+
+
+def test_time_grid_dt_is_one_read_only_array():
+    grid = uniform_grid(1.0, 4)
+    assert grid.dt is grid.dt
+    assert np.array_equal(grid.dt, np.diff(grid.times))
+    with pytest.raises(ValueError):
+        grid.dt[0] = 1.0
+
+
+def test_zero_path_batch_builds_empty_arrays():
+    # The value rules pass an empty batch, as np.all of nothing is True.
+    grid = uniform_grid(1.0, 8)
+    w = generate_brownian(grid, 0, range(0))
+    assert w.increments.shape == (0, 8)
+    assert gbm_path(GbmParams(100.0, 0.05, 0.2, 0.05), w, "physical").stock.shape == (0, 9)
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["path", "batch"])
+@pytest.mark.parametrize(
+    "value, positive",
+    [(-0.0, False), (0.0, False), (5e-324, True), (-5e-324, False)],
+    ids=["-0.0", "+0.0", "smallest subnormal", "negative subnormal"],
+)
+def test_stock_at_zero_and_at_the_smallest_subnormal(value, positive, batch):
+    stock = np.full(5, 100.0)
+    stock[3] = value
+    if batch:
+        stock = np.stack([np.full(5, 100.0), stock])
+    grid, bond = uniform_grid(1.0, 4), np.ones(5)
+    if positive:
+        assert MarketPath(grid, stock, bond).stock.tobytes() == stock.tobytes()
+    else:
+        with pytest.raises(ValueError, match="^stock values must be positive and finite$"):
+            MarketPath(grid, stock, bond)
 
 
 def test_brownian_determinism_and_independence():

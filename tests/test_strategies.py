@@ -219,6 +219,47 @@ def test_bs_price_and_delta_refuse_the_same_arguments(fn, vol, rate, tau):
         fn(100.0, 100.0, vol, rate, tau)
 
 
+_BAD_SPOT_OR_TAU = [
+    ("s", math.nan, "spot must be > 0"),
+    ("s", -math.inf, "spot must be > 0"),
+    ("s", -1.0, "spot must be > 0"),
+    ("s", -0.0, "spot must be > 0"),
+    ("tau", math.nan, "tau must be >= 0"),
+    ("tau", -math.inf, "tau must be >= 0"),
+    ("tau", -1.0, "tau must be >= 0"),
+    ("tau", math.inf, "Black-Scholes value undefined for infinite vol or tau"),
+]
+# A bad value as a Python float, a 0-d array, a 1-D array, and beside a good value.
+_FORMS = {
+    "float": lambda x: x,
+    "0-d": np.array,
+    "1-D": lambda x: np.array([x]),
+    "beside a good value": lambda x: np.array([1.0, x]),
+}
+
+
+@pytest.mark.parametrize("form", _FORMS)
+@pytest.mark.parametrize("arg, value, message", _BAD_SPOT_OR_TAU)
+@pytest.mark.parametrize("fn", [bs_price, bs_delta])
+def test_bad_spot_or_tau_gets_one_message_in_every_form(fn, arg, value, message, form):
+    args = {"s": 100.0, "strike": 100.0, "vol": 0.2, "rate": 0.05, "tau": 1.0}
+    args[arg] = _FORMS[form](value)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        fn(**args)
+
+
+def test_infinite_spot_is_not_refused():
+    assert bs_price(math.inf, 100.0, 0.2, 0.05, 1.0) == math.inf
+    assert bs_delta(math.inf, 100.0, 0.2, 0.05, 1.0) == 1.0
+    assert bs_delta(np.array([math.inf]), 100.0, 0.2, 0.05, np.array([1.0])).tolist() == [1.0]
+
+
+def test_empty_bs_delta_is_empty():
+    for tau in (np.array([]), 1.0):
+        deltas = bs_delta(np.array([]), 100.0, 0.2, 0.05, tau)
+        assert deltas.shape == (0,)
+
+
 # Parent values of bs_price(s, 100, vol, 0.05, 0.75): no vol here overflows,
 # so the vol -> infinity limit must leave every bit as it was.
 _BS_PRICES = {
