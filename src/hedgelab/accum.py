@@ -35,6 +35,19 @@ first addition the loop's `0.0 + x_1` (signed zeros included), so every
 element goes through the loop's exact IEEE-754 operation sequence and the
 result is bit-identical to it. `np.sum`/`np.add.reduce` would not do: they
 sum pairwise.
+
+Each running sum waits on the one before it, so an accumulate runs at the
+latency of one addition per element. numpy adds and subtracts complex128
+numbers one part at a time, each part one IEEE-754 double operation, so
+an accumulate over complex entries is two independent real accumulates at
+the latency of one. `comp_cumsum` therefore holds the lines of a row block
+in pairs, as the real and imaginary parts of complex work buffers, and
+runs each pass once per pair. No pass mixes the parts (nothing multiplies
+or divides), so each line gets exactly its own operations in its own
+order, and its bits are those of the same passes in float64, NaN payloads
+aside as above: an infinity or NaN in one line leaves its partner's bits
+alone. A block of one line has no partner and runs the same passes on
+float64 buffers, since pairing it with a zero line would double its work.
 """
 
 from __future__ import annotations
@@ -43,8 +56,11 @@ import math
 
 import numpy as np
 
-# Elements per row block. The block's two work buffers stay in cache,
-# and peak memory is the output plus one block.
+# Elements per row block, lines times entries (n + 1 for n terms). The
+# block's work buffers stay in cache, and peak memory is the output plus
+# those buffers: three complex ones of half the block's lines, at most
+# 24 * (BLOCK_ELEMENTS + 2 * (n + 1)) bytes, or two float64 rows,
+# 16 * (n + 1) bytes, when a block is one line.
 BLOCK_ELEMENTS = 1 << 15
 
 
@@ -96,7 +112,9 @@ def comp_cumsum(terms, axis: int = -1, out=None) -> np.ndarray:
     array, or `out` when given (see `_out`). `out` may hold the terms
     themselves in its entries 1.. along `axis`, so a caller can build the
     terms there and accumulate them in place; any other overlap with
-    `terms` raises.
+    `terms` raises. Work memory is that of one row block of about
+    BLOCK_ELEMENTS elements, or of one line where a line is longer,
+    whatever the number of lines (see BLOCK_ELEMENTS).
     """
     full = np.asarray(terms, dtype=float)
     arr = full.swapaxes(axis, -1)
@@ -116,32 +134,61 @@ def comp_cumsum(terms, axis: int = -1, out=None) -> np.ndarray:
             raise ValueError("out must not overlap an input")
         flat = swapped.reshape(m, n + 1)
         copy_back = not np.may_share_memory(flat, result)  # lines that do not flatten in place
-    b = max(1, min(BLOCK_ELEMENTS // (n + 1) + 1, m))  # rows per block
-    # Two work buffers, s and t. The compensation c is accumulated in the
-    # result's own rows, then s is added to it there.
-    s = np.zeros((b, n + 1))
-    t = np.empty((b, n))
-    flat[:, 0] = 0.0
-    prev, cur = s[:, :-1], s[:, 1:]
+    b = max(1, min(BLOCK_ELEMENTS // (n + 1) + 1, m))  # lines per block
+    # A block of two or more lines runs in pairs: lines 2i and 2i + 1 of the
+    # block are the real and imaginary parts of row i of complex work
+    # buffers, so each pass below does two lines at once. A block of one
+    # line runs the same passes on float64 buffers.
+    pairs = b > 1
+    # Work buffers: the running sums, a TwoSum temporary and, for pairs, the
+    # terms, which become the errors and then the compensation. A lone line
+    # keeps those in its own result row.
+    work = np.empty((2 + pairs, -(-b // 2), n + 1), np.complex128 if pairs else np.float64)
     for lo in range(0, m, b):
         hi = min(lo + b, m)
-        if hi - lo < b:  # rows are independent: the last block may be short
-            s, t = s[: hi - lo], t[: hi - lo]
-            prev, cur = s[:, :-1], s[:, 1:]
-        # x may be the result's own rows (in place), which e overwrites
-        # element by element as it reads them; x is not read after that.
-        x = rows[lo:hi]
-        c = flat[lo:hi]
-        e = c[:, 1:]
-        cur[...] = x
-        np.add.accumulate(s, axis=1, out=s)
+        x, c = rows[lo:hi], flat[lo:hi]
+        if lo == 0 or hi - lo < b:  # views of the first block and of a short last one
+            q = -(-(hi - lo) // 2)  # buffer rows
+            ws = work if lo == 0 else work[:, :q]
+            s, t = ws[0], ws[1].ravel()[1:]
+            sf = s.ravel()
+            prev, cur = sf[:-1], sf[1:]
+            if pairs:
+                k = (hi - lo) // 2  # lines in the imaginary parts
+                xs = ws[2]
+                xf = xs.ravel()
+                e = xf[1:]
+                xs[:, 0] = 0.0
+        # x may be the result's own rows (in place); it is copied before the
+        # block's result rows are written.
+        if pairs:
+            xs.real[:, 1:] = x[0::2]
+            xs.imag[:k, 1:] = x[1::2]
+            if k < q:  # an odd last line's partner: never read, but zeroed so that
+                xs.imag[k:, 1:] = 0.0  # stale or subnormal values do not slow the passes
+        else:  # a lone line: its result row holds its terms, errors and compensation
+            xs, xf = c, c.reshape(-1)
+            e = xf[1:]
+            e[...] = x[0]
+            xf[0] = 0.0
+        np.add.accumulate(xs, axis=1, out=s)
+        # TwoSum runs over each buffer as one flat series, cur_k = s_k and
+        # prev_k = s_{k-1}, with e_k written over x_k. Where k starts a row,
+        # prev is the previous row's last sum: those entries are reset to
+        # c_0 = 0.0 before the compensation is accumulated.
         np.subtract(cur, prev, out=t)  # bb = s - s_prev
-        np.subtract(x, t, out=e)  # x - bb
+        np.subtract(e, t, out=e)  # x - bb
         np.subtract(cur, t, out=t)  # s - bb
         np.subtract(prev, t, out=t)  # s_prev - (s - bb)
         e += t
-        np.add.accumulate(c, axis=1, out=c)
-        np.add(s, c, out=c)
+        if q > 1:
+            xf[:: n + 1] = 0.0
+        np.add.accumulate(xs, axis=1, out=xs)
+        if pairs:
+            np.add(s.real, xs.real, out=c[0::2])
+            np.add(s.imag[:k], xs.imag[:k], out=c[1::2])
+        else:
+            np.add(s, xs, out=xs)
     if copy_back:
         np.copyto(result, flat.reshape(*lines, n + 1).swapaxes(axis, -1))
     return result

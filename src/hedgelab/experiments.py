@@ -30,10 +30,12 @@ own, so a level on one lane starts no thread. Threads suffice because a
 block's work is numpy and scipy code that releases the interpreter lock:
 ufunc loops, np.add.accumulate, the Philox fills and scipy's ndtr. A study
 runs one lane per usable CPU, at most 8, and one lane on a process with
-one usable CPU or on a level that fits one block. An interrupt returns
+one usable CPU or on a level that fits one block. The usable CPUs are the
+affinity mask capped at the cgroup CPU quota rounded up, so a container
+granted 1.5 CPUs on a larger host runs 2 lanes. An interrupt returns
 only after every lane has left its blocks. Only 1 and 2 lanes have been
-timed (on a 2-vCPU host); more lanes, and hosts whose CPU quota is below
-their affinity mask, are untimed.
+timed (on a 2-vCPU host with no quota); more lanes, and a quota below the
+affinity mask, are untimed.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ import os
 import threading
 from dataclasses import dataclass
 from functools import partial
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -90,14 +93,50 @@ DEFAULT_TOLERANCES = {
 BUDGET = 2**18
 
 
-def _usable_cpus() -> int:
+def _usable_cpus(root: str | Path = "/") -> int:
     """The CPUs this process may run on: its affinity mask, which taskset
-    and cpusets narrow, or the machine's count where there is none. A cgroup
-    CPU quota does not narrow it."""
+    and cpusets narrow, or the machine's count where there is none, capped
+    at the CPU quota of its cgroup (`_cpu_quota`, files read under `root`).
+    At least 1."""
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on macOS and Windows
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    quota = _cpu_quota(Path(root))
+    return max(1, cpus if quota is None else min(cpus, quota))
+
+
+def _cpu_quota(root: Path) -> int | None:
+    """CPUs' worth of the CPU quota of this process's own cgroup, rounded
+    up: ceil(quota / period) from cgroup v2 `cpu.max`, or from v1
+    `cpu.cfs_quota_us` and `cpu.cfs_period_us`, under root/sys/fs/cgroup.
+    None where no quota is set ("max" or -1) and where a file is missing,
+    unreadable or not two positive integers. Where both versions set one,
+    the smaller counts."""
+    try:
+        entries = (root / "proc/self/cgroup").read_text().splitlines()
+    except OSError:
+        return None
+    quotas = []
+    for entry in entries:
+        fields = entry.split(":", 2)  # hierarchy id, controllers, cgroup path
+        if len(fields) != 3:
+            continue
+        _, controllers, path = fields
+        if controllers == "":  # the v2 hierarchy
+            names, mount = ("cpu.max",), "."
+        elif "cpu" in controllers.split(","):
+            names, mount = ("cpu.cfs_quota_us", "cpu.cfs_period_us"), controllers
+        else:
+            continue
+        folder = root / "sys/fs/cgroup" / mount / path.lstrip("/")
+        try:
+            quota, period = (int(v) for v in " ".join((folder / n).read_text() for n in names).split())
+        except (OSError, ValueError):
+            continue
+        if quota > 0 and period > 0:
+            quotas.append(-(-quota // period))
+    return min(quotas, default=None)
 
 
 @dataclass(frozen=True)

@@ -128,7 +128,10 @@ def bs_price(s: float, strike: float, vol: float, rate: float, tau: float) -> fl
 
     At tau = 0 this is the payoff max(s - strike, 0); at vol = 0 it is the
     deterministic forward value max(s - strike * exp(-rate * tau), 0). Where
-    vol^2 * tau overflows it is the vol -> infinity limit, the spot s.
+    vol^2 * tau overflows it is the vol -> infinity limit, the spot s. Where
+    s / strike underflows to 0, d1 takes the log of the moneyness as
+    log(s) - log(strike), so a call that far out of the money is worth 0
+    unless the variance is large enough to outweigh that log.
     """
     _check_bs_args(s, strike, vol, rate, tau)
     try:
@@ -138,7 +141,11 @@ def bs_price(s: float, strike: float, vol: float, rate: float, tau: float) -> fl
     if vol == 0.0 or tau == 0.0:
         return max(s - strike * discount, 0.0)
     srt = vol * math.sqrt(tau)
-    d1 = (math.log(s / strike) + (rate + 0.5 * vol * vol) * tau) / srt
+    moneyness = s / strike
+    # Where s is so far below the strike that s / strike underflows to 0,
+    # its log is still finite: log(s) - log(strike).
+    log_moneyness = math.log(moneyness) if moneyness > 0.0 else math.log(s) - math.log(strike)
+    d1 = (log_moneyness + (rate + 0.5 * vol * vol) * tau) / srt
     if not math.isfinite(d1):
         # vol * vol * tau or srt overflowed, where d1 - srt would keep d2 at
         # +inf: the total variance is past float range, so d1 -> inf and

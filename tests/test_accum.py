@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hedgelab import accum
 from hedgelab.accum import comp_cumsum
@@ -106,20 +108,55 @@ def test_matches_scalar_loop_bitwise(length):
 )
 def test_matches_scalar_loop_on_special_values(terms):
     assert_same_bits(comp_cumsum(terms), neumaier_loop(terms))
-    rows = np.array([terms, terms[::-1]])
-    want = np.stack([neumaier_loop(terms), neumaier_loop(terms[::-1])])
-    assert_same_bits(comp_cumsum(rows, axis=-1), want)
+    # Lines run in pairs: an inf, NaN or overflow in one part of a pair
+    # must leave its partner's bits alone, in either part and in a block
+    # that ends on an odd line.
+    finite = mixed_terms(len(terms), seed=5).tolist()
+    for lines in ([terms, terms[::-1]], [terms, finite], [finite, terms], [finite, terms, finite]):
+        want = np.stack([neumaier_loop(line) for line in lines])
+        assert_same_bits(comp_cumsum(np.array(lines), axis=-1), want)
 
 
-@pytest.mark.parametrize("axis", [0, 1, -1])
-def test_rows_spanning_several_blocks_match_scalar_loop(monkeypatch, axis):
+@pytest.mark.parametrize(
+    "shape, axis",
+    [((37, 11, 3), 0), ((37, 11, 3), 1), ((37, 11, 3), -1)]
+    + [((lines, n), -1) for lines in (1, 2, 3, 5) for n in (12, 40)],
+)
+def test_rows_spanning_several_blocks_match_scalar_loop(monkeypatch, shape, axis):
     # Tiny blocks split the 407, 111 or 33 rows into 1 to 17 rows a block,
-    # with a partial last block on every axis at 64 elements a block.
-    terms = mixed_terms((37, 11, 3), seed=3)
+    # with a partial last block on every axis at 64 elements a block. The
+    # 1 to 5 lines of 12 or 40 terms run in blocks of 1, 2, 3 or 5 lines,
+    # some of them ending on an odd line. Each case also runs in place,
+    # with the terms in out[..., 1:] (strided lines where axis is not last).
+    terms = mixed_terms(shape, seed=3)
     want = np.apply_along_axis(neumaier_loop, axis, terms)
-    for block in (8, 64):
+    out = np.full(want.shape, np.nan)
+    tail = np.moveaxis(np.moveaxis(out, axis, -1)[..., 1:], -1, axis)
+    for block in (1, 8, 64):
         monkeypatch.setattr(accum, "BLOCK_ELEMENTS", block)
         assert_same_bits(comp_cumsum(terms, axis=axis), want)
+        tail[...] = terms
+        assert comp_cumsum(tail, axis=axis, out=out) is out
+        assert_same_bits(out, want)
+
+
+def same_bits_up_to_nan_payload(got, want):
+    """Bitwise equality once every NaN reads as one NaN (see the accum docstring)."""
+    assert_same_bits(np.where(np.isnan(got), np.nan, got), np.where(np.isnan(want), np.nan, want))
+
+
+_SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324, -1e-310]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), lines=st.integers(1, 7), n=st.integers(0, 40))
+def test_every_line_matches_scalar_loop_whatever_its_partner(data, lines, n):
+    value = st.one_of(st.floats(-1e8, 1e8), st.sampled_from(_SPECIAL), st.floats())
+    terms = np.array(data.draw(st.lists(st.lists(value, min_size=n, max_size=n), min_size=lines, max_size=lines)))
+    terms = terms.reshape(lines, n)
+    got = comp_cumsum(terms, axis=-1)
+    for line, row in zip(terms, got):
+        same_bits_up_to_nan_payload(row, neumaier_loop(line))
 
 
 def test_non_finite_input_raises_no_warning():

@@ -378,6 +378,21 @@ def test_moneyness_overflow_exits_zero_with_empty_stderr(tmp_path, command):
 
 
 @pytest.mark.parametrize("command", cli.COMMANDS)
+def test_moneyness_underflow_exits_zero_with_empty_stderr(tmp_path, command):
+    # s0 / strike underflows to 0: every price and delta is its d1 -> -inf
+    # limit, 0, and numpy prints no RuntimeWarning (a fresh interpreter).
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("s0 = 1e-300\nstrike = 1e30\nn_paths = 4\nbase_steps = 4\n")
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "hedgelab", command, "--config", str(cfg_file), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
 def test_allocation_failure_exits_two_with_one_line(tmp_path, capsys, command):
     # A 2**57-step grid is 2**60 bytes, past any user address space, so the
     # allocation fails before a page is touched.
@@ -529,6 +544,38 @@ def test_usable_cpus_follow_the_affinity_mask():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert proc.stdout == "1\n"
+
+
+_V1 = "cpu,cpuacct/job/cpu.cfs_"
+
+
+@pytest.mark.parametrize(
+    "cgroup, files, quota",
+    [
+        ("0::/job\n", {"job/cpu.max": "150000 100000\n"}, 2),
+        ("4:cpu,cpuacct:/job\n", {_V1 + "quota_us": "150000\n", _V1 + "period_us": "100000\n"}, 2),
+        ("0::/job\n", {"job/cpu.max": "50000 100000\n"}, 1),
+        ("0::/\n", {"cpu.max": "max 100000\n"}, None),
+        ("4:cpu,cpuacct:/job\n", {_V1 + "quota_us": "-1\n", _V1 + "period_us": "100000\n"}, None),
+        ("0::/job\n", {"job/cpu.max": "garbage\n"}, None),
+        ("0::/job\n", {}, None),  # missing
+        ("0::/job\n", {"job/cpu.max/unreadable": ""}, None),  # a folder, not a file
+    ],
+    ids=["v2", "v1", "v2-half-a-cpu", "v2-max", "v1-minus-one", "garbage", "missing", "unreadable"],
+)
+def test_usable_cpus_are_capped_at_the_cgroup_cpu_quota(tmp_path, cgroup, files, quota):
+    # Fake proc and cgroup files under a root folder: ceil(quota / period)
+    # caps the affinity count, and no quota leaves it as it is.
+    (tmp_path / "proc/self").mkdir(parents=True)
+    (tmp_path / "proc/self/cgroup").write_text(cgroup)
+    for name, text in files.items():
+        path = tmp_path / "sys/fs/cgroup" / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    assert experiments._cpu_quota(tmp_path) == quota
+    affinity = experiments._usable_cpus(tmp_path / "no-cgroup-files")
+    assert affinity >= 1
+    assert experiments._usable_cpus(tmp_path) == (affinity if quota is None else min(affinity, quota))
 
 
 def test_main_failure_in_a_lane_exits_two_with_one_line(tmp_path, monkeypatch, capsys):

@@ -284,6 +284,17 @@ def test_bs_price_where_the_variance_overflows_is_the_spot(vol):
     assert bs_price(80.0, 100.0, vol, 0.05, 1.0) == 80.0
 
 
+def test_bs_price_where_the_moneyness_underflows():
+    # s / strike underflows to 0; log(s) - log(strike) puts d1 below -3000,
+    # where bs_delta's d1 = -inf also gives delta 0, and the call is worth 0.
+    assert bs_price(1e-300, 1e30, 0.2, 0.05, 1.0) == 0.0
+    assert bs_price(5e-324, 100.0, 0.2, 0.05, 1.0) == 0.0
+    assert bs_delta(1e-300, 1e30, 0.2, 0.05, 1.0) == 0.0
+    # A variance large enough to outweigh the log still gives the spot.
+    for vol in (1.4e154, 1e200):
+        assert bs_price(1e-300, 1e30, vol, 0.05, 1.0) == 1e-300
+
+
 @pytest.mark.parametrize("vol", [0.2, 0.0])
 def test_bs_price_refuses_a_discount_factor_that_overflows(vol):
     # exp(-rate * tau) = exp(1000) is past float range.
