@@ -128,10 +128,12 @@ def bs_price(s: float, strike: float, vol: float, rate: float, tau: float) -> fl
 
     At tau = 0 this is the payoff max(s - strike, 0); at vol = 0 it is the
     deterministic forward value max(s - strike * exp(-rate * tau), 0). Where
-    vol^2 * tau overflows it is the vol -> infinity limit, the spot s. Where
-    s / strike underflows to 0, d1 takes the log of the moneyness as
-    log(s) - log(strike), so a call that far out of the money is worth 0
-    unless the variance is large enough to outweigh that log.
+    vol^2 * tau overflows it is the vol -> infinity limit, the spot s; where
+    vol * sqrt(tau) underflows, to 0 or so far that d1 overflows, it is the
+    vol -> 0 limit, the vol = 0 value. Where s / strike underflows to 0, d1
+    takes the log of the moneyness as log(s) - log(strike), so a call that
+    far out of the money is worth 0 unless the variance is large enough to
+    outweigh that log.
     """
     _check_bs_args(s, strike, vol, rate, tau)
     try:
@@ -145,12 +147,19 @@ def bs_price(s: float, strike: float, vol: float, rate: float, tau: float) -> fl
     # Where s is so far below the strike that s / strike underflows to 0,
     # its log is still finite: log(s) - log(strike).
     log_moneyness = math.log(moneyness) if moneyness > 0.0 else math.log(s) - math.log(strike)
-    d1 = (log_moneyness + (rate + 0.5 * vol * vol) * tau) / srt
-    if not math.isfinite(d1):
-        # vol * vol * tau or srt overflowed, where d1 - srt would keep d2 at
-        # +inf: the total variance is past float range, so d1 -> inf and
+    numerator = log_moneyness + (rate + 0.5 * vol * vol) * tau
+    if not math.isfinite(numerator):
+        # vol * vol * tau overflowed, where d1 - srt would keep d2 at +inf:
+        # the total variance is past float range, so d1 -> inf and
         # d2 -> -inf, and the call is worth its vol -> infinity limit, the spot.
         return s
+    d1 = numerator / srt if srt > 0.0 else math.inf
+    if not math.isfinite(d1):
+        # srt underflowed, to 0 or so far that d1 overflows: d1 and d2 go to
+        # +-inf with the sign of the numerator, which is the sign of
+        # log(s / (strike * discount)), so the call is worth its vol -> 0
+        # limit, the forward value.
+        return max(s - strike * discount, 0.0)
     d2 = d1 - srt
     return s * _norm_cdf(d1) - strike * discount * _norm_cdf(d2)
 

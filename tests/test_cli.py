@@ -209,6 +209,31 @@ def test_simulate_paths_csv_is_the_per_path_stream_for_any_block(tmp_path, monke
     assert (tmp_path / "out" / "paths.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
+# Configs whose S or dW leave [1e-10, 1e15), the range cli._g17 formats
+# itself, so that those cells go through its per-value fallback.
+_FALLBACK_CONFIGS = {
+    "huge-stock": "s0 = 1e20\n",
+    "tiny-stock": "s0 = 1e-12\n",
+    "stock-straddles-1e15": "s0 = 9e14\nsigma = 0.5\n",
+    "tiny-increments": "horizon = 1e-22\n",
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 7, "default"])
+@pytest.mark.parametrize("config", _FALLBACK_CONFIGS.values(), ids=_FALLBACK_CONFIGS.keys())
+def test_simulate_paths_csv_is_the_per_path_stream_where_values_fall_back(tmp_path, monkeypatch, config, chunk):
+    cfg = parse_config("n_paths = 5\nbase_steps = 8\n" + config)
+    if chunk != "default":
+        monkeypatch.setattr(cli, "_ROW_CHUNK", chunk)
+    assert run("simulate", cfg, tmp_path / "out") == 0
+    per_path_paths_csv(cfg, tmp_path / "reference.csv")
+    written = (tmp_path / "out" / "paths.csv").read_bytes()
+    assert written == (tmp_path / "reference.csv").read_bytes()
+    if "9e14" in config:
+        stock = [float(line.split(b",")[3]) for line in written.splitlines()[1:]]
+        assert min(stock) < 1e15 <= max(stock)
+
+
 def test_simulate_memory_does_not_grow_with_n_paths(tmp_path):
     steps = 8
 
@@ -375,6 +400,19 @@ def test_moneyness_overflow_exits_zero_with_empty_stderr(tmp_path, command):
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_vanishing_vol_prices_the_hedge_target_at_its_forward_value(tmp_path):
+    # sigma * sqrt(T) is so small that d1 overflows: the call on s0 = 80,
+    # K = 100 is worth its vol = 0 value, 0, not the spot.
+    cfg = parse_config("s0 = 80\nsigma = 1e-320\nn_paths = 50\nbase_steps = 8\n")
+    assert run("martingale", cfg, tmp_path) == 0
+    params = [row["param"] for row in csv.DictReader((tmp_path / "martingale.csv").open())]
+    assert "delta_hedge(K=100) Y0=0" in params
+    # sigma * sqrt(T) underflows to 0 itself: priced, not a ZeroDivisionError.
+    cfg = parse_config("sigma = 5e-324\nhorizon = 0.25\nn_paths = 4\nbase_steps = 4\n")
+    for command in ("simulate", "martingale"):
+        assert run(command, cfg, tmp_path / command) == 0
 
 
 @pytest.mark.parametrize("command", cli.COMMANDS)

@@ -295,6 +295,16 @@ def test_bs_price_where_the_moneyness_underflows():
         assert bs_price(1e-300, 1e30, vol, 0.05, 1.0) == 1e-300
 
 
+def test_bs_price_where_the_vol_underflows_is_the_vol_zero_value():
+    # srt = vol * sqrt(tau) is so small that d1 overflows, or it is 0: the
+    # vol -> 0 limit is max(s - K exp(-r tau), 0), what vol = 0 returns.
+    assert bs_price(80.0, 100.0, 1e-320, 0.05, 1.0) == 0.0
+    assert bs_price(120.0, 100.0, 1e-320, 0.05, 1.0) == 24.877057549928594
+    assert bs_price(120.0, 100.0, 0.0, 0.05, 1.0) == 24.877057549928594
+    assert bs_price(120.0, 100.0, 5e-324, 0.05, 0.25) == bs_price(120.0, 100.0, 0.0, 0.05, 0.25)
+    assert bs_price(80.0, 100.0, 5e-324, 0.05, 0.25) == 0.0
+
+
 @pytest.mark.parametrize("vol", [0.2, 0.0])
 def test_bs_price_refuses_a_discount_factor_that_overflows(vol):
     # exp(-rate * tau) = exp(1000) is past float range.
