@@ -15,10 +15,12 @@ of K = max(1, CHUNK_NORMALS // n) consecutive indices, and path i is row
 i % K of the standard normals of chunk i // K, the Philox counter block
 [0, i // K, tag]. The tag is 0 for base increments; a bridge's tag is fixed
 by its refinement lineage, so a refined path is likewise a pure function of
-its inputs. A batch is drawn by passing a range of path indices,
-generate_brownian(grid, seed, range(...)): it draws each chunk it touches
-once, and each row is bit for bit the single-path draw. refine and gbm_path
-take the batch as they take one path.
+its inputs. A batch is drawn by passing a range of consecutive ascending
+path indices, generate_brownian(grid, seed, range(...)), and one path i is
+drawn as the range(i, i + 1): every draw is the same walk over the chunks
+its indices touch, drawing each once, so each row of a batch is bit for bit
+the single-path draw. refine and gbm_path take the batch as they take one
+path.
 
 Every value type's arrays are checked and frozen by one rule, _freeze.
 
@@ -200,7 +202,7 @@ class BrownianPath:
     stacked along a leading axis, shape (n_paths, n_steps). `key` records
     the stream lineage ((seed, path_index), extended by each refinement
     factor) so derived randomness stays reproducible; in a batch, path_index
-    is the integer array of the rows' path indices.
+    is the range of the rows' path indices.
     """
 
     grid: TimeGrid
@@ -277,49 +279,42 @@ def _chunk_normals(key: _PhiloxKey, j: int, tag: tuple, out: np.ndarray) -> np.n
 
 def _keyed_normals(key: tuple, shape: tuple, out=None) -> np.ndarray:
     """Standard normals of `shape` for the BrownianPath key (seed,
-    path_index, *refinement lineage), in a new array or in `out` (C-contiguous
-    rows; see accum._out): base increments for an empty lineage, else the
-    bridge normals of its last refinement.
+    path_index, *refinement lineage), in a new array or in `out` (see
+    accum._out): base increments for an empty lineage, else the bridge
+    normals of its last refinement.
 
-    path_index may be an integer array instead of an int: the result then
-    stacks one row per index along a new leading axis, each bit for bit the
-    single-path draw of that index. Each run of consecutive indices in one
-    chunk draws that chunk once, up to the last row it needs, into a scratch
-    of at most max(CHUNK_NORMALS, n) normals, and copies its rows out. One
-    path draws its chunk only up to its own row.
+    path_index may be a range of consecutive ascending indices instead of
+    an int: the result then stacks one row per index along a new leading
+    axis. One path i is the range(i, i + 1), so every draw is one walk over
+    the chunks its indices touch, each drawn once, up to the last row it
+    needs: straight into the rows of `out` when the run starts on the
+    chunk's first row and those rows are C-contiguous, else into a scratch
+    whose rows from the run's first one are copied out. A stepped or
+    descending range raises ValueError before anything is drawn.
     """
     seed, index, *lineage = key
+    paths = index if isinstance(index, range) else range(index, index + 1)
+    if paths.step != 1:
+        raise ValueError(f"a range of path indices must be consecutive and ascending, got {paths!r}")
+    if paths and not 0 <= paths.start < paths.stop <= 2**32:
+        raise ValueError("path indices must be in [0, 2**32)")
     philox_key = _PhiloxKey(seed)
     tag = (0, 0)
     if lineage:
         tag = tuple(np.random.SeedSequence([_BRIDGE_SALT, *lineage]).generate_state(2, np.uint64).tolist())
     n = math.prod(shape)
     per_chunk = max(1, CHUNK_NORMALS // n)
-    batch = isinstance(index, np.ndarray)
-    out = _out(out, (*index.shape, *shape) if batch else shape)
-    if not batch:
-        if not 0 <= index < 2**32:
-            raise ValueError("path indices must be in [0, 2**32)")
-        j, row = divmod(index, per_chunk)
-        if row == 0:
-            return _chunk_normals(philox_key, j, tag, out)
-        drawn = _chunk_normals(philox_key, j, tag, np.empty((row + 1) * n))
-        out[...] = drawn[row * n :].reshape(shape)
-        return out
-    (n_paths,) = index.shape
-    if n_paths and not 0 <= int(index.min()) <= int(index.max()) < 2**32:
-        raise ValueError("path indices must be in [0, 2**32)")
-    rows = np.reshape(out, (n_paths, n), copy=False)  # raises unless a view
-    chunk, row = np.divmod(index, per_chunk)
-    scratch = np.empty((per_chunk, n))
-    starts = np.flatnonzero(np.diff(chunk, prepend=-1))
-    ends = [*starts[1:].tolist(), n_paths]
-    tops = np.maximum.reduceat(row, starts) + 1
-    for a, b, j, top in zip(starts.tolist(), ends, chunk[starts].tolist(), tops.tolist()):
-        if b - a == 1 and row[a] == 0:  # one path, its chunk's first row: no copy
-            _chunk_normals(philox_key, j, tag, rows[a])
+    out = _out(out, (len(paths), *shape) if paths is index else shape)
+    rows = out.reshape(len(paths), n, copy=False)  # raises unless a view
+    # The chunks from the first index's to the last's; none for an empty range, range(5, 3) too.
+    for j in range(paths.start // per_chunk, -(-paths.stop // per_chunk) if paths else 0):
+        first = j * per_chunk
+        lo, hi = max(paths.start, first), min(paths.stop, first + per_chunk)
+        dest = rows[lo - paths.start : hi - paths.start]
+        if lo == first and dest.flags.c_contiguous:
+            _chunk_normals(philox_key, j, tag, dest)
         else:
-            rows[a:b] = _chunk_normals(philox_key, j, tag, scratch[:top])[row[a:b]]
+            dest[...] = _chunk_normals(philox_key, j, tag, np.empty((hi - first, n)))[lo - first :]
     return out
 
 
@@ -329,17 +324,16 @@ def generate_brownian(grid: TimeGrid, seed: int, path_index: int | range = 0, *,
     The draw is keyed by (seed, path_index), seed in [0, 2**128) and
     path_index in [0, 2**32): the same pair always yields bit-identical
     increments, and distinct pairs yield independent normals, regardless of
-    call order or thread schedule. A range of path indices
-    gives the batch BrownianPath whose row j is bit for bit the draw of
-    path index path_index[j]. Given `out` (see accum._out), the increments
-    are drawn into it and the BrownianPath is built on it without a copy,
-    so it is valid only until `out` is rewritten.
+    call order or thread schedule. A range of consecutive ascending path
+    indices gives the batch BrownianPath whose row j is bit for bit the
+    draw of path index path_index[j]; a stepped or descending range raises
+    ValueError. Given `out` (see accum._out), the increments are drawn into
+    it and the BrownianPath is built on it without a copy, so it is valid
+    only until `out` is rewritten.
     """
-    if isinstance(path_index, range):
-        index = np.arange(path_index.start, path_index.stop, path_index.step)
-    else:
-        index = _integer("path_index", path_index)
-    key = (_seed(seed), index)
+    if not isinstance(path_index, range):
+        path_index = _integer("path_index", path_index)
+    key = (_seed(seed), path_index)
     z = _keyed_normals(key, (grid.n_points - 1,), out)
     z *= grid._sqrt_dt
     return BrownianPath(grid, _Owned(z), key=key)

@@ -170,7 +170,7 @@ def test_comp_cumsum_accumulates_terms_held_in_its_out(monkeypatch, shape, axis,
 
 
 def test_keyed_normals_out_gets_the_allocating_draw():
-    for key, shape in (((3, np.arange(4)), (5,)), ((3, 1), (5, 2))):
+    for key, shape in (((3, range(4)), (5,)), ((3, 1), (5, 2))):
         want = _keyed_normals(key, shape)
         out = np.full(want.shape, np.nan)
         assert _keyed_normals(key, shape, out) is out

@@ -1,27 +1,32 @@
-"""cli._g17, the vectorized format(x, ".17g") behind paths.csv, against
+"""g17._g17, the vectorized format(x, ".17g") behind paths.csv, against
 format itself: value sets that reach every branch of the kernel (decade
 correction, round half to even, the carry to a new decade, fixed and
 exponent layouts, trailing zeros) and every fallback value. Last, a
 timing-free guard that simulate's values take the fast path: byte tests
-pass even where every value falls back, so the fallback's calls are counted.
+pass even where every value falls back, so the fallback's calls are counted;
+and a fresh-interpreter check that only simulate imports the module.
 """
 
 import contextlib
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hedgelab import cli
+from hedgelab import cli, g17
 
 
 def _check(values):
     """Assert _g17 gives format(v, ".17g") for every v; return the count."""
     values = np.asarray(values, dtype=np.float64).ravel()
-    cells = np.concatenate([cli._g17(values), np.full((values.size, 1), ord("\n"), np.uint8)], axis=1).ravel()
+    cells = np.concatenate([g17._g17(values), np.full((values.size, 1), ord("\n"), np.uint8)], axis=1).ravel()
     got = cells[cells != 0].tobytes().decode().split("\n")[:-1]
     want = [format(v, ".17g") for v in values.tolist()]
     if got != want:
@@ -58,7 +63,7 @@ def test_powers_of_ten_and_their_neighbours():
 
 
 def test_range_edges_and_their_neighbours():
-    edges = np.array([cli._G17_MIN, cli._G17_MAX])
+    edges = np.array([g17._G17_MIN, g17._G17_MAX])
     _check(_signed(_neighbours(_neighbours(edges))))
 
 
@@ -92,7 +97,7 @@ def test_values_outside_the_range_go_to_the_fallback(monkeypatch):
         seen.append(x)
         return format(x, ".17g").encode()
 
-    monkeypatch.setattr(cli, "_g17_fallback", fallback)
+    monkeypatch.setattr(g17, "_g17_fallback", fallback)
     mixed = np.array(specials + [1.5, -2.25e-3, 123456789.125])
     _check(mixed)
     assert len(seen) == len(specials)
@@ -100,7 +105,7 @@ def test_values_outside_the_range_go_to_the_fallback(monkeypatch):
 
 
 def test_empty_and_one_value():
-    assert cli._g17(np.array([])).shape == (0, cli._G17_WIDTH)
+    assert g17._g17(np.array([])).shape == (0, g17._G17_WIDTH)
     _check([100.0])
     _check([-0.0])
 
@@ -120,10 +125,31 @@ def test_simulate_formats_only_the_zero_dw_of_each_path_by_the_fallback(tmp_path
         seen.append(x)
         return format(x, ".17g").encode()
 
-    monkeypatch.setattr(cli, "_g17_fallback", fallback)
+    monkeypatch.setattr(g17, "_g17_fallback", fallback)
     cfg = cli.parse_config(config)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.run("simulate", cfg, tmp_path) == 0
     assert len(seen) == cfg.n_paths
     assert set(seen) == {0.0}
     assert all(math.copysign(1.0, v) == 1.0 for v in seen)  # +0.0, never -0.0
+
+
+def test_only_simulate_imports_the_formatter(tmp_path):
+    # A fresh interpreter, as this one may have imported g17 already.
+    driver = (
+        "import sys\n"
+        "from hedgelab import cli\n"
+        "loaded = ['hedgelab.g17' in sys.modules]\n"
+        "cfg = cli.parse_config('n_paths = 4\\nbase_steps = 4\\nrefinement_factors = 1,2\\n')\n"
+        "for command in ('verify', 'simulate'):\n"
+        "    cli.run(command, cfg, sys.argv[1] + '/' + command)\n"
+        "    loaded.append('hedgelab.g17' in sys.modules)\n"
+        "print(loaded)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", driver, str(tmp_path)], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[False, False, True]"

@@ -190,7 +190,7 @@ def test_bridge_conditional_variance():
     # unit step has variance dt_sub * (1 - dt_sub) = 0.25
     grid = TimeGrid(np.array([0.0, 1.0]))
     # one batch keyed by path index: row i draws what key (77, i) draws alone
-    w = BrownianPath(grid, np.full((100_000, 1), 0.5), key=(77, np.arange(100_000)))
+    w = BrownianPath(grid, np.full((100_000, 1), 0.5), key=(77, range(100_000)))
     _, fine = refine(grid, w, 2)
     firsts = fine.increments[:, 0]
     var = float(np.var(firsts))
@@ -257,7 +257,8 @@ def test_range_draw_is_bitwise_the_per_path_reference(seed):
                 assert np.array_equal(mkt.grid.times, ref_grid.times)
 
 
-@pytest.mark.parametrize("paths", [range(3, 9), range(3, 20, 4), range(5, 6)])
+# range(40, 45) crosses a chunk boundary of the factor-4 bridge (42 paths a chunk).
+@pytest.mark.parametrize("paths", [range(3, 9), range(40, 45), range(5, 6)])
 def test_path_range_returns_each_paths_stock_and_increments(paths):
     params = GbmParams(100.0, 0.07, 0.3, 0.03)
     grid = uniform_grid(1.0, 6)
@@ -328,13 +329,13 @@ def test_stream_2_golden_increments():
     "steps, factor, paths",
     [
         (8, 1, range(100, 300)),  # 128 paths a chunk: starts and stops mid-chunk
-        (8, 1, range(5, 700, 37)),  # strided
-        (8, 1, range(300, 100, -7)),  # descending
+        (8, 1, range(5, 700)),  # whole chunks between two partial ones
+        (8, 1, range(128, 384)),  # two whole chunks
         (8, 1, range(127, 129)),  # the two rows either side of a chunk boundary
         (300, 1, range(1, 11)),  # 3 paths a chunk
         (1024, 1, range(3, 7)),  # one path a chunk
-        (1500, 1, range(2, 9, 3)),  # one path a chunk, longer than a chunk
-        (8, 4, range(20, 90, 3)),  # bridge of 32 normals a path: 32 paths a chunk
+        (1500, 1, range(2, 9)),  # one path a chunk, longer than a chunk
+        (8, 4, range(20, 90)),  # bridge of 32 normals a path: 32 paths a chunk
         (64, 16, range(0, 5)),  # bridge of 1024 normals a path: one a chunk
     ],
 )
@@ -348,6 +349,19 @@ def test_batch_rows_are_the_single_path_draw_across_chunk_boundaries(steps, fact
         if factor > 1:
             single = refine(grid, single, factor)[1]
         assert w.increments[row].tobytes() == single.increments.tobytes(), i
+
+
+def _recording_chunks(monkeypatch):
+    """Patch paths._chunk_normals to record the `out` of every chunk drawn."""
+    outs = []
+    chunk_normals = paths._chunk_normals
+
+    def recording(key, j, tag, out):
+        outs.append(out)
+        return chunk_normals(key, j, tag, out)
+
+    monkeypatch.setattr(paths, "_chunk_normals", recording)
+    return outs
 
 
 @pytest.mark.parametrize(
@@ -365,20 +379,58 @@ def test_batch_rows_are_the_single_path_draw_across_chunk_boundaries(steps, fact
 def test_single_path_draws_at_most_its_chunk_up_to_its_row(monkeypatch, steps, factor, index, drawn):
     grid = uniform_grid(1.0, steps)
     w = generate_brownian(grid, 4, index)
-    counts = []
-    chunk_normals = paths._chunk_normals
-
-    def counting(key, j, tag, out):
-        counts.append(out.size)
-        return chunk_normals(key, j, tag, out)
-
-    monkeypatch.setattr(paths, "_chunk_normals", counting)
+    outs = _recording_chunks(monkeypatch)
     if factor == 1:
         generate_brownian(grid, 4, index)
     else:
         refine(grid, w, factor)
     n = steps * factor
-    assert counts == [drawn] and drawn <= max(paths.CHUNK_NORMALS, n)
+    assert [o.size for o in outs] == [drawn] and drawn <= max(paths.CHUNK_NORMALS, n)
+
+
+def test_chunk_aligned_block_is_drawn_into_contiguous_out_and_a_mid_chunk_start_uses_one_scratch(monkeypatch):
+    grid = uniform_grid(1.0, 8)  # 128 paths a chunk
+    outs = _recording_chunks(monkeypatch)
+    w = generate_brownian(grid, 5, range(256, 556), out=np.empty((300, 8)))
+    assert [o.size for o in outs] == [128 * 8, 128 * 8, 44 * 8]
+    assert all(np.shares_memory(o, w.increments) for o in outs)
+    outs.clear()
+    w = generate_brownian(grid, 5, range(100, 200), out=np.empty((100, 8)))
+    scratch = [o for o in outs if not np.shares_memory(o, w.increments)]
+    assert len(outs) == 2 and [o.size for o in scratch] == [128 * 8]
+
+
+@pytest.mark.parametrize(
+    "indices, message",
+    [
+        (range(0, 10, 2), "consecutive and ascending"),
+        (range(10, 0, -1), "consecutive and ascending"),
+        (range(3, 4, 5), "consecutive and ascending"),  # one index, but stepped
+        (-1, r"must be in \[0, 2\*\*32\)"),
+        (2**32, r"must be in \[0, 2\*\*32\)"),
+        (range(2**32 - 1, 2**32 + 1), r"must be in \[0, 2\*\*32\)"),
+    ],
+    ids=["stepped", "descending", "one-index-stepped", "negative", "2**32", "range-past-2**32"],
+)
+def test_bad_path_indices_are_refused_before_any_draw(monkeypatch, indices, message):
+    grid = uniform_grid(1.0, 8)
+    outs = _recording_chunks(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        generate_brownian(grid, 5, indices)
+    increments = np.zeros((len(indices), 8) if isinstance(indices, range) else 8)
+    with pytest.raises(ValueError, match=message):
+        refine(grid, BrownianPath(grid, increments, key=(5, indices)), 2)
+    assert outs == []
+
+
+@pytest.mark.parametrize("indices", [range(0), range(5, 3)], ids=["range(0)", "range(5, 3)"])
+def test_empty_range_draws_nothing(monkeypatch, indices):
+    grid = uniform_grid(1.0, 8)
+    outs = _recording_chunks(monkeypatch)
+    w = generate_brownian(grid, 5, indices)
+    _, fine = refine(grid, w, 2)
+    assert w.increments.shape == (0, 8) and fine.increments.shape == (0, 16)
+    assert outs == []
 
 
 def test_seed_is_a_128_bit_key():
