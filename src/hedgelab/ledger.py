@@ -92,11 +92,25 @@ def complete_bond(a, stock, bond, y0: float, out=None) -> np.ndarray:
     b_0 = (y0 - a_0 * S_0) / beta_0, and every rebalance transfers value
     between the accounts at the new prices:
     b_{k+1} = b_k + (a_k - a_{k+1}) * S_{k+1} / beta_{k+1}.
+
+    Where a, stock and the result are C-contiguous blocks of paths of one
+    shape (a study block), the difference and the product by S run as one
+    pass each over the flat rows instead of one per path.
     """
     b = _out(out, np.broadcast(a, stock).shape, a, stock, bond)
     # The transfers are built in b's entries 1.. and accumulated in place.
-    transfers = np.subtract(a[..., :-1], a[..., 1:], out=b[..., 1:])
-    transfers *= stock[..., 1:]
+    flat = b.ndim > 1 and a.shape == stock.shape == b.shape
+    if flat and a.flags.c_contiguous and stock.flags.c_contiguous and b.flags.c_contiguous:
+        # Flat entry p gets a_{p-1} - a_p, so each row's entry 0 gets the
+        # difference across the row boundary; comp_cumsum's out_0 and b0
+        # overwrite it.
+        af, tail = a.ravel(), b.ravel()[1:]
+        np.subtract(af[:-1], af[1:], out=tail)
+        tail *= stock.ravel()[1:]
+        transfers = b[..., 1:]
+    else:
+        transfers = np.subtract(a[..., :-1], a[..., 1:], out=b[..., 1:])
+        transfers *= stock[..., 1:]
     transfers /= bond[1:]
     b0 = (float(y0) - a[..., 0] * stock[..., 0]) / bond[0]
     comp_cumsum(transfers, axis=-1, out=b)

@@ -12,15 +12,21 @@ pure function of (seed, path_index, grid), so Monte Carlo results are
 reproducible under any execution order. The seed, in [0, 2**128), is the
 Philox key. A draw of n normals a path groups the path indices into chunks
 of K = max(1, CHUNK_NORMALS // n) consecutive indices, and path i is row
-i % K of the standard normals of chunk i // K, the Philox counter block
-[0, i // K, tag]. The tag is 0 for base increments; a bridge's tag is fixed
-by its refinement lineage, so a refined path is likewise a pure function of
-its inputs. A batch is drawn by passing a range of consecutive ascending
-path indices, generate_brownian(grid, seed, range(...)), and one path i is
-drawn as the range(i, i + 1): every draw is the same walk over the chunks
-its indices touch, drawing each once, so each row of a batch is bit for bit
-the single-path draw. refine and gbm_path take the batch as they take one
-path.
+i % K of the standard normals of chunk i // K, drawn from the Philox
+counter [0, i // K, tag_0, tag_1] (four uint64 words). The tag is (0, 0)
+for base increments; a bridge's tag is fixed by its refinement lineage, so
+a refined path is likewise a pure function of its inputs. The bridge tag
+words are SeedSequence([_BRIDGE_SALT, *lineage]).generate_state(2, uint64),
+except that where either word is >= 2**63 both are rounded to the nearest
+double and cast back to uint64: the stream was first drawn with the
+counter passed to Philox as a list of ints, which numpy builds as float64
+then, and the words keep those values (see _bridge_tag). A batch is drawn
+by passing a range of consecutive ascending path indices,
+generate_brownian(grid, seed, range(...)), and one path i is drawn as the
+range(i, i + 1): every draw is the same walk over the chunks its indices
+touch, drawing each once from one generator whose counter is reset per
+chunk, so each row of a batch is bit for bit the single-path draw. refine
+and gbm_path take the batch as they take one path.
 
 Every value type's arrays are checked and frozen by one rule, _freeze.
 
@@ -202,7 +208,8 @@ class BrownianPath:
     stacked along a leading axis, shape (n_paths, n_steps). `key` records
     the stream lineage ((seed, path_index), extended by each refinement
     factor) so derived randomness stays reproducible; in a batch, path_index
-    is the range of the rows' path indices.
+    is the range of the rows' path indices. A malformed key raises
+    ValueError (see _check_key).
     """
 
     grid: TimeGrid
@@ -211,6 +218,7 @@ class BrownianPath:
 
     def __post_init__(self):
         _freeze(self, ("increments",), self.grid.n_points - 1, batch=True)
+        object.__setattr__(self, "key", _check_key(self.key))
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,6 +262,43 @@ def _seed(value) -> int:
     return seed
 
 
+def _path_indices(value) -> range:
+    """`value`, a path index or a range of them, as the range of path
+    indices it draws: an index in [0, 2**32), or a range of consecutive
+    ascending ones below 2**32 (empty ranges draw nothing)."""
+    if isinstance(value, range):
+        paths = value
+    else:
+        index = _integer("path_index", value)
+        paths = range(index, index + 1)
+    if paths.step != 1:
+        raise ValueError(f"a range of path indices must be consecutive and ascending, got {paths!r}")
+    if paths and not 0 <= paths.start < paths.stop <= 2**32:
+        raise ValueError("path indices must be in [0, 2**32)")
+    return paths
+
+
+def _check_key(key) -> tuple:
+    """A BrownianPath key (seed, path_index, *factors) with its entries as
+    ints: the seed in [0, 2**128), the path index or range of
+    `_path_indices`, and each refinement factor an integer >= 2. Anything
+    else raises a ValueError that names the key."""
+    try:
+        if not (isinstance(key, tuple) and len(key) >= 2):
+            raise ValueError("must be a tuple (seed, path_index, *factors)")
+        seed, index, *factors = key
+        paths = _path_indices(index)
+        checked = [_seed(seed), index if isinstance(index, range) else paths.start]
+        for m in factors:
+            m = _integer("refinement factor", m)
+            if m < 2:
+                raise ValueError("refinement factors must be >= 2")
+            checked.append(m)
+        return tuple(checked)
+    except ValueError as exc:
+        raise ValueError(f"key {key!r}: {exc}") from None
+
+
 class _PhiloxKey(ISeedSequence):
     """A seed's 128-bit Philox key as the seed sequence a Philox is built
     from: Philox reads its key from generate_state(2, np.uint64), so the
@@ -270,11 +315,53 @@ class _PhiloxKey(ISeedSequence):
         return self.words
 
 
-def _chunk_normals(key: _PhiloxKey, j: int, tag: tuple, out: np.ndarray) -> np.ndarray:
+def _bridge_tag(lineage) -> tuple[int, int]:
+    """The two counter words of the bridge normals of a refinement lineage
+    (see the module docstring): SeedSequence([_BRIDGE_SALT, *lineage])'s two
+    uint64 words, both rounded to the nearest double where either is
+    >= 2**63, as numpy read them from the counter list they were first
+    drawn with."""
+    words = np.random.SeedSequence([_BRIDGE_SALT, *lineage]).generate_state(2, np.uint64)
+    if words.max() >= 2**63:
+        words = words.astype(np.float64).astype(np.uint64)
+    return tuple(words.tolist())
+
+
+class _Walk:
+    """One walk of _keyed_normals over its chunks: the seed's Philox key and
+    the generator its first chunk builds. The generator refers to the key,
+    not to the walk, so it is freed with the walk, not left in a cycle."""
+
+    __slots__ = ("key", "generator")
+
+    def __init__(self, seed: int):
+        self.key = _PhiloxKey(seed)
+        self.generator = None
+
+
+def _chunk_normals(walk: _Walk, j: int, tag: tuple, out: np.ndarray) -> np.ndarray:
     """Fill the C-contiguous `out` with the first out.size normals of chunk j
-    of the stream (key, tag), and return it."""
-    bitgen = np.random.Philox(key, counter=[0, j, *tag])
-    return np.random.Generator(bitgen).standard_normal(out=out)
+    of the walk's stream (its key, tag), and return it.
+
+    The walk's first chunk builds its generator, a Philox at the counter
+    [0, j, *tag]; each later chunk sets that generator's state to the one a
+    Philox built at its own counter starts in (the key, the counter and an
+    empty output buffer), which draws the same normals for a third of the
+    cost of a build.
+    """
+    counter = [0, j, *tag]
+    if walk.generator is None:
+        walk.generator = np.random.Generator(np.random.Philox(walk.key, counter=np.array(counter, dtype=np.uint64)))
+    else:
+        walk.generator.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": counter, "key": walk.key.words},
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4,  # empty: the next draw computes a new block
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+    return walk.generator.standard_normal(out=out)
 
 
 def _keyed_normals(key: tuple, shape: tuple, out=None) -> np.ndarray:
@@ -293,18 +380,12 @@ def _keyed_normals(key: tuple, shape: tuple, out=None) -> np.ndarray:
     descending range raises ValueError before anything is drawn.
     """
     seed, index, *lineage = key
-    paths = index if isinstance(index, range) else range(index, index + 1)
-    if paths.step != 1:
-        raise ValueError(f"a range of path indices must be consecutive and ascending, got {paths!r}")
-    if paths and not 0 <= paths.start < paths.stop <= 2**32:
-        raise ValueError("path indices must be in [0, 2**32)")
-    philox_key = _PhiloxKey(seed)
-    tag = (0, 0)
-    if lineage:
-        tag = tuple(np.random.SeedSequence([_BRIDGE_SALT, *lineage]).generate_state(2, np.uint64).tolist())
+    paths = _path_indices(index)
+    walk = _Walk(seed)
+    tag = _bridge_tag(lineage) if lineage else (0, 0)
     n = math.prod(shape)
     per_chunk = max(1, CHUNK_NORMALS // n)
-    out = _out(out, (len(paths), *shape) if paths is index else shape)
+    out = _out(out, (len(paths), *shape) if isinstance(index, range) else shape)
     rows = out.reshape(len(paths), n, copy=False)  # raises unless a view
     # The chunks from the first index's to the last's; none for an empty range, range(5, 3) too.
     for j in range(paths.start // per_chunk, -(-paths.stop // per_chunk) if paths else 0):
@@ -312,9 +393,9 @@ def _keyed_normals(key: tuple, shape: tuple, out=None) -> np.ndarray:
         lo, hi = max(paths.start, first), min(paths.stop, first + per_chunk)
         dest = rows[lo - paths.start : hi - paths.start]
         if lo == first and dest.flags.c_contiguous:
-            _chunk_normals(philox_key, j, tag, dest)
+            _chunk_normals(walk, j, tag, dest)
         else:
-            dest[...] = _chunk_normals(philox_key, j, tag, np.empty((hi - first, n)))[lo - first :]
+            dest[...] = _chunk_normals(walk, j, tag, np.empty((hi - first, n)))[lo - first :]
     return out
 
 
@@ -331,10 +412,8 @@ def generate_brownian(grid: TimeGrid, seed: int, path_index: int | range = 0, *,
     it and the BrownianPath is built on it without a copy, so it is valid
     only until `out` is rewritten.
     """
-    if not isinstance(path_index, range):
-        path_index = _integer("path_index", path_index)
     key = (_seed(seed), path_index)
-    z = _keyed_normals(key, (grid.n_points - 1,), out)
+    z = _keyed_normals(key, (grid.n_points - 1,), out)  # checks path_index before drawing
     z *= grid._sqrt_dt
     return BrownianPath(grid, _Owned(z), key=key)
 

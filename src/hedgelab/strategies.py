@@ -56,7 +56,9 @@ def buy_and_hold(grid: TimeGrid, a0: float, b0: float) -> HoldingsSchedule:
 
 # Kernels: stock is one path (n_points,) or a batch (..., n_points); bond
 # and times are shared. Every path of a batch gets the same IEEE operations
-# as a 1-D call.
+# as a 1-D call. delta_stock_holdings calls bs_delta over whole rows, and
+# constant_mix_holdings runs each step over one column of every path,
+# through two reused step buffers.
 
 
 def constant_mix_holdings(stock, bond, w: float, wealth0: float, out=None) -> tuple[np.ndarray, np.ndarray]:
@@ -67,13 +69,21 @@ def constant_mix_holdings(stock, bond, w: float, wealth0: float, out=None) -> tu
     a_out, b_out = (None, None) if out is None else out
     a = _out(a_out, stock.shape, stock, bond)
     b = _out(b_out, stock.shape, stock, bond, a)
-    wealth = float(wealth0)
-    a[..., 0] = w * wealth / stock[..., 0]
-    b[..., 0] = (1.0 - w) * wealth / bond[0]
+    wealth0 = float(wealth0)
+    a[..., 0] = w * wealth0 / stock[..., 0]
+    b[..., 0] = (1.0 - w) * wealth0 / bond[0]
+    # Each step's wealth = a_{k-1} S_k + b_{k-1} beta_k, then a_k = w *
+    # wealth / S_k and b_k = (1 - w) * wealth / beta_k, one operation at a
+    # time through two step buffers straight into column k.
+    wealth, scaled = np.empty(stock.shape[:-1]), np.empty(stock.shape[:-1])
     for k in range(1, stock.shape[-1] - 1):
-        wealth = a[..., k - 1] * stock[..., k] + b[..., k - 1] * bond[k]
-        a[..., k] = w * wealth / stock[..., k]
-        b[..., k] = (1.0 - w) * wealth / bond[k]
+        np.multiply(a[..., k - 1], stock[..., k], out=wealth)
+        np.multiply(b[..., k - 1], bond[k], out=scaled)
+        wealth += scaled
+        np.multiply(w, wealth, out=scaled)
+        np.divide(scaled, stock[..., k], out=a[..., k])
+        np.multiply(1.0 - w, wealth, out=scaled)
+        np.divide(scaled, bond[k], out=b[..., k])
     a[..., -1] = a[..., -2]
     b[..., -1] = b[..., -2]
     return a, b
@@ -207,11 +217,19 @@ def delta_stock_holdings(option: EuropeanCall, stock, times, rate: float, vol: f
     a_k = bs_delta(S_k, strike, vol, rate, T - t_k) over each interval; the
     last interval uses the time-to-expiry at its start. y0 is priced at the
     first path's initial spot: every path of a batch starts at s0.
+
+    bs_delta runs once over whole rows, the final point at the last
+    interval's time-to-expiry, so each of its passes is one loop over
+    contiguous memory rather than one per path. That entry is then
+    overwritten by the last interval's, so the call never sees tau = 0;
+    bs_delta's checks see S_T too, like every S_k.
     """
     if not math.isclose(option.expiry, float(times[-1]), rel_tol=1e-12, abs_tol=0.0):
         raise ValueError("option expiry must equal the grid horizon")
     a = _out(out, stock.shape, stock, times)
-    bs_delta(stock[..., :-1], option.strike, vol, rate, option.expiry - times[:-1], out=a[..., :-1])
+    tau = option.expiry - times
+    tau[-1] = tau[-2]
+    bs_delta(stock, option.strike, vol, rate, tau, out=a)
     a[..., -1] = a[..., -2]
     y0 = bs_price(stock.item(0), option.strike, vol, rate, option.expiry)
     return a, y0

@@ -5,6 +5,7 @@ from hedgelab.accum import comp_cumsum
 from hedgelab.calculus import SampledSeries, SmoothFunction, ito_doblin_residual, ito_integral
 from hedgelab.ledger import (
     LEDGER_CSV_COLUMNS,
+    complete_bond,
     enforce_self_financing,
     ito_expansion_terms,
     self_financing_defect,
@@ -242,3 +243,47 @@ def test_single_path_api_refuses_a_multi_path_market(call, tmp_path):
     with pytest.raises(ValueError):
         call(mkt, buy_and_hold(grid, 1.0, 0.0), dest)
     assert not dest.exists()
+
+
+def _complete_bond_by_views(a, stock, bond, y0):
+    """complete_bond with every pass on the [..., :-1] and [..., 1:] views."""
+    b = np.empty(np.broadcast(a, stock).shape)
+    transfers = np.subtract(a[..., :-1], a[..., 1:], out=b[..., 1:])
+    transfers *= stock[..., 1:]
+    transfers /= bond[1:]
+    b0 = (float(y0) - a[..., 0] * stock[..., 0]) / bond[0]
+    comp_cumsum(transfers, axis=-1, out=b)
+    b += b0[..., None]
+    b[..., 0] = b0
+    return b
+
+
+def _bond_cases():
+    rng = np.random.default_rng(12)
+    params = GbmParams(s0=100.0, mu=0.05, sigma=0.2, r=0.05)
+    grid = uniform_grid(1.0, 64)
+    block = gbm_path(params, generate_brownian(grid, 4, range(40)), "physical")
+    one = make_market(seed=4, steps=64)
+    a = rng.uniform(-2.0, 2.0, block.stock.shape)
+    a[::3, 10:20] = 0.5  # runs without rebalances
+    a[1::4, 0] = -0.0
+    f_stock = np.asfortranarray(block.stock)
+    return {
+        "block": (a, block.stock, block.bond, None),
+        "one-path": (a[3], one.stock, one.bond, None),
+        "broadcast-a": (a[5], block.stock, block.bond, None),
+        "strided-out": (a, block.stock, block.bond, np.empty(block.stock.shape[::-1]).T),
+        "column-out": (a, block.stock, block.bond, np.empty((40, 66))[:, 1:]),
+        "fortran-stock": (a, f_stock, block.bond, None),
+        "one-row-block": (a[:1], block.stock[:1], block.bond, None),
+        "one-interval": (a[:, :2].copy(), block.stock[:, :2].copy(), block.bond[:2], None),
+    }
+
+
+@pytest.mark.parametrize("case", list(_bond_cases()))
+def test_complete_bond_is_the_view_formulation(case):
+    a, stock, bond, out = _bond_cases()[case]
+    want = _complete_bond_by_views(a, stock, bond, 10.45)
+    got = complete_bond(a, stock, bond, 10.45, out=out)
+    assert out is None or got is out
+    assert got.tobytes() == want.tobytes()

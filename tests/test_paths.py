@@ -443,3 +443,109 @@ def test_seed_is_a_128_bit_key():
     ):
         with pytest.raises(ValueError, match="seed must be < 2[*][*]128"):
             call()
+
+
+@pytest.mark.parametrize(
+    "key, message",
+    [
+        ((77, 1.5), "path_index must be an integer"),
+        ((-1, 0), "seed must be >= 0"),
+        ((77,), r"must be a tuple \(seed, path_index, \*factors\)"),
+        ((77, np.arange(3)), "path_index must be an integer"),
+        ((77, 0, 1), "refinement factors must be >= 2"),
+        ((77, 0, 2.0), "refinement factor must be an integer"),
+    ],
+    ids=["float-index", "negative-seed", "no-index", "index-array", "factor-1", "float-factor"],
+)
+def test_malformed_key_is_refused_naming_the_key(key, message):
+    grid = uniform_grid(1.0, 4)
+    with pytest.raises(ValueError, match=rf"^key .*: {message}"):
+        BrownianPath(grid, np.zeros(4), key=key)
+
+
+def test_key_entries_are_stored_as_ints():
+    grid = uniform_grid(1.0, 4)
+    w = BrownianPath(grid, np.zeros(4), key=(np.uint64(77), np.int32(3), np.int64(4)))
+    assert w.key == (77, 3, 4) and all(type(x) is int for x in w.key)
+    assert BrownianPath(grid, np.zeros((2, 4)), key=(77, range(3, 5))).key == (77, range(3, 5))
+
+
+def test_bridge_tag_words_are_the_rounded_counter_words():
+    # Pinned: where either word is >= 2**63 both are the nearest doubles,
+    # as numpy read them from the counter list [0, j, *words].
+    assert paths._bridge_tag((4,)) == (15575308458515283968, 8756990620179758080)
+    assert paths._bridge_tag((16,)) == (2240935543444884992, 14665857242226669568)
+    assert paths._bridge_tag((64,)) == (13468189390977220608, 7523867620848180224)
+    for lineage in [(2,), (4,), (16,), (64,), (1024,), (4, 4), (2, 8), (16, 64, 3)]:
+        words = np.random.SeedSequence([paths._BRIDGE_SALT, *lineage]).generate_state(2, np.uint64).tolist()
+        stored = np.random.Philox(0, counter=[0, 0, *words]).state["state"]["counter"][2:].tolist()
+        assert paths._bridge_tag(lineage) == tuple(stored), lineage
+
+
+def _per_chunk_normals(seed, indices, lineage, n):
+    """The draw with a Philox built for every path from the counter list,
+    as stream 2 was first drawn: rows of the normals of each path's chunk."""
+    tag = [0, 0]
+    if lineage:
+        tag = np.random.SeedSequence([paths._BRIDGE_SALT, *lineage]).generate_state(2, np.uint64).tolist()
+    per_chunk = max(1, paths.CHUNK_NORMALS // n)
+    rows = []
+    for i in indices:
+        j, r = divmod(i, per_chunk)
+        bitgen = np.random.Philox(paths._PhiloxKey(seed), counter=[0, j, *tag])
+        rows.append(np.random.Generator(bitgen).standard_normal(out=np.empty((r + 1) * n))[r * n :])
+    return np.array(rows)
+
+
+@pytest.mark.parametrize(
+    "indices, lineage, shape",
+    [
+        (range(100, 300), (), (8,)),  # 128 paths a chunk: starts and stops mid-chunk
+        (range(0, 512), (), (8,)),  # four whole chunks
+        (range(5, 700), (), (64,)),  # 16 paths a chunk
+        (range(3, 9), (), (1500,)),  # one path a chunk, longer than a chunk
+        (range(20, 90), (4,), (8, 4)),  # bridge, 32 paths a chunk
+        (range(40, 45), (16,), (8, 16)),  # bridge, 8 paths a chunk
+        (range(0, 5), (64,), (64, 64)),  # bridge of 4096 normals: one path a chunk
+        (range(7, 130), (2, 4), (8, 4)),  # a second refinement's bridge
+    ],
+)
+def test_one_generator_a_walk_draws_what_a_philox_a_chunk_draws(monkeypatch, indices, lineage, shape):
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(kwargs["counter"])
+        return philox(*args, **kwargs)
+
+    philox = np.random.Philox
+    monkeypatch.setattr(np.random, "Philox", counting)
+    got = paths._keyed_normals((11, indices, *lineage), shape)
+    n = math.prod(shape)
+    assert len(built) == 1  # one Philox for the whole walk
+    monkeypatch.setattr(np.random, "Philox", philox)
+    want = _per_chunk_normals(11, indices, lineage, n)
+    assert got.reshape(len(indices), n).tobytes() == want.tobytes()
+
+
+def test_a_one_chunk_draw_builds_one_philox_and_sets_no_state(monkeypatch):
+    built = []
+    philox = np.random.Philox
+
+    class Recording(philox):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs["counter"].tolist())
+            super().__init__(*args, **kwargs)
+
+        @property
+        def state(self):
+            return philox.state.__get__(self)
+
+        @state.setter
+        def state(self, value):
+            raise AssertionError("a one-chunk draw set a generator's state")
+
+    monkeypatch.setattr(np.random, "Philox", Recording)
+    grid = uniform_grid(1.0, 64)
+    w = generate_brownian(grid, 3, 40)  # 16 paths a chunk: chunk 2
+    refine(grid, w, 16)  # 1024 normals: one path a chunk
+    assert built == [[0, 2, 0, 0], [0, 40, *paths._bridge_tag((16,))]]

@@ -13,7 +13,9 @@ from hedgelab.strategies import (
     bs_price,
     buy_and_hold,
     constant_mix,
+    constant_mix_holdings,
     delta_hedge,
+    delta_stock_holdings,
 )
 
 from conftest import hand_market, make_market
@@ -310,3 +312,74 @@ def test_bs_price_refuses_a_discount_factor_that_overflows(vol):
     # exp(-rate * tau) = exp(1000) is past float range.
     with pytest.raises(ValueError, match="discount factor"):
         bs_price(100.0, 100.0, vol, -1000.0, 1.0)
+
+
+def _block_market(seed, n_paths, steps, s0=100.0, mu=0.05, sigma=0.2, r=0.05):
+    params = GbmParams(s0=s0, mu=mu, sigma=sigma, r=r)
+    return gbm_path(params, generate_brownian(uniform_grid(1.0, steps), seed, range(n_paths)), "physical")
+
+
+def _delta_by_interval(option, stock, times, rate, vol):
+    """delta_stock_holdings as one bs_delta call over the interval starts."""
+    a = np.empty(stock.shape)
+    bs_delta(stock[..., :-1], option.strike, vol, rate, option.expiry - times[:-1], out=a[..., :-1])
+    a[..., -1] = a[..., -2]
+    return a
+
+
+@pytest.mark.parametrize(
+    "market, vol",
+    [
+        (_block_market(5, 40, 64), 0.2),
+        (_block_market(5, 40, 64), 0.35),  # a hedge at another vol than the market's
+        (make_market(seed=5, steps=64), 0.2),
+        (_block_market(6, 3, 1), 0.2),  # one interval
+        # sigma = 0, r = 0 and s0 = strike: every S_k, S_T too, sits on the
+        # strike, and no call to bs_delta may see tau = 0 there
+        (_block_market(7, 4, 16, mu=0.0, sigma=0.0, r=0.0), 0.0),
+        (make_market(seed=7, steps=16, mu=0.0, sigma=0.0, r=0.0), 0.0),
+    ],
+    ids=["block", "block-other-vol", "one-path", "one-interval", "sigma0-block", "sigma0-one-path"],
+)
+def test_delta_stock_holdings_is_the_per_interval_bs_delta(market, vol):
+    option = EuropeanCall(strike=100.0, expiry=1.0)
+    times = market.grid.times
+    want = _delta_by_interval(option, market.stock, times, market.rate, vol)
+    got, y0 = delta_stock_holdings(option, market.stock, times, market.rate, vol)
+    assert got.tobytes() == want.tobytes()
+    assert y0 == bs_price(100.0, 100.0, vol, market.rate, 1.0)
+    strided = np.empty(market.stock.shape[::-1]).T
+    assert delta_stock_holdings(option, market.stock, times, market.rate, vol, out=strided)[0] is strided
+    assert strided.tobytes() == want.tobytes()  # tobytes reads the elements in C order, whatever the layout
+    if vol == 0.0:
+        assert set(got.ravel().tolist()) == {0.5}
+
+
+def _constant_mix_by_path(stock, bond, w, wealth0):
+    """constant_mix_holdings as a scalar loop, one path at a time."""
+    a, b = np.empty(stock.shape), np.empty(stock.shape)
+    for row in np.ndindex(stock.shape[:-1]):
+        s, ar, br = stock[row].tolist(), a[row], b[row]
+        wealth = wealth0
+        ar[0] = w * wealth / s[0]
+        br[0] = (1.0 - w) * wealth / float(bond[0])
+        for k in range(1, len(s) - 1):
+            wealth = float(ar[k - 1]) * s[k] + float(br[k - 1]) * float(bond[k])
+            ar[k] = w * wealth / s[k]
+            br[k] = (1.0 - w) * wealth / float(bond[k])
+        ar[-1], br[-1] = ar[-2], br[-2]
+    return a, b
+
+
+@pytest.mark.parametrize(
+    "market", [_block_market(8, 30, 32), make_market(seed=8, steps=32), _block_market(9, 5, 1)],
+    ids=["block", "one-path", "one-interval"],
+)
+@pytest.mark.parametrize("w", [0.6, 0.0, 1.5])
+def test_constant_mix_holdings_is_the_per_path_scalar_loop(market, w):
+    want_a, want_b = _constant_mix_by_path(market.stock, market.bond, w, 100.0)
+    a, b = constant_mix_holdings(market.stock, market.bond, w, 100.0)
+    assert a.tobytes() == want_a.tobytes() and b.tobytes() == want_b.tobytes()
+    out = (np.empty(market.stock.shape[::-1]).T, np.empty(market.stock.shape))  # a strided and a contiguous one
+    assert all(x is y for x, y in zip(constant_mix_holdings(market.stock, market.bond, w, 100.0, out=out), out))
+    assert out[0].tobytes() == want_a.tobytes() and out[1].tobytes() == want_b.tobytes()
