@@ -22,7 +22,8 @@ Once a running sum overflows, TwoSum's error term is NaN where Neumaier's
 can be an infinity; out_k is NaN either way, but a NaN's payload may
 differ from the scalar loop's wherever no tested case pins it.
 
-The result is the whole series out_0..out_n, one entry more than the
+A line is the last axis of the terms (the time axis of every caller),
+and its result is the whole series out_0..out_n, one entry more than the
 terms: out_0 = s_0 + c_0 = 0.0, so a cumulative series that is 0 at grid
 index 0 (gain, log-price, expansion terms, integrals) is the result itself.
 
@@ -101,39 +102,33 @@ def _same_view(x: np.ndarray, y: np.ndarray) -> bool:
 # Overflow to inf and inf - inf are part of the recurrence's IEEE semantics,
 # as in the scalar loop, not errors to report.
 @np.errstate(over="ignore", invalid="ignore")
-def comp_cumsum(terms, axis: int = -1, out=None) -> np.ndarray:
+def comp_cumsum(terms, out=None) -> np.ndarray:
     """Running compensated sums from zero: out[..., k] = sum(terms[..., :k]).
 
-    Accepts any array-like of rank >= 1; the accumulation runs along `axis`
-    and is vectorized over the remaining axes. The result is a float64
-    array with one more entry than `terms` along `axis`: out_0 = s_0 + c_0 =
-    0.0, then the series bit-identical to running Neumaier's scalar loop on
-    each line, up to NaN payloads (see the module docstring). It is a new
-    array, or `out` when given (see `_out`). `out` may hold the terms
-    themselves in its entries 1.. along `axis`, so a caller can build the
+    Accepts any array-like of rank >= 1; the accumulation runs along the
+    last axis and is vectorized over the leading ones. The result is a
+    float64 array of shape (*terms.shape[:-1], n + 1) for n terms a line:
+    out_0 = s_0 + c_0 = 0.0, then the series bit-identical to running
+    Neumaier's scalar loop on each line, up to NaN payloads (see the module
+    docstring). It is a new array, or `out` when given (see `_out`). `out`
+    may hold the terms themselves in out[..., 1:], so a caller can build the
     terms there and accumulate them in place; any other overlap with
     `terms` raises. Work memory is that of one row block of about
     BLOCK_ELEMENTS elements, or of one line where a line is longer,
     whatever the number of lines (see BLOCK_ELEMENTS).
     """
     full = np.asarray(terms, dtype=float)
-    arr = full.swapaxes(axis, -1)
-    *lines, n = arr.shape
+    *lines, n = full.shape
     m = math.prod(lines)  # lines to accumulate
-    rows = arr.reshape(m, n)
-    copy_back = False
+    rows = full.reshape(m, n)
     if out is None:
-        flat = np.empty((m, n + 1))
-        result = flat.reshape(*lines, n + 1).swapaxes(axis, -1)
+        result = np.empty((*lines, n + 1))
     else:
-        shape = list(full.shape)
-        shape[axis] += 1
-        result = _out(out, shape)
-        swapped = result.swapaxes(axis, -1)
-        if not _same_view(swapped[..., 1:], arr) and np.may_share_memory(result, full):
+        result = _out(out, (*lines, n + 1))
+        if not _same_view(result[..., 1:], full) and np.may_share_memory(result, full):
             raise ValueError("out must not overlap an input")
-        flat = swapped.reshape(m, n + 1)
-        copy_back = not np.may_share_memory(flat, result)  # lines that do not flatten in place
+    flat = result.reshape(m, n + 1)  # a copy where out's lines do not flatten in place
+    copy_back = out is not None and not np.may_share_memory(flat, result)
     b = max(1, min(BLOCK_ELEMENTS // (n + 1) + 1, m))  # lines per block
     # A block of two or more lines runs in pairs: lines 2i and 2i + 1 of the
     # block are the real and imaginary parts of row i of complex work
@@ -190,5 +185,5 @@ def comp_cumsum(terms, axis: int = -1, out=None) -> np.ndarray:
         else:
             np.add(s, xs, out=xs)
     if copy_back:
-        np.copyto(result, flat.reshape(*lines, n + 1).swapaxes(axis, -1))
+        np.copyto(result, flat.reshape(result.shape))
     return result

@@ -77,7 +77,7 @@ def defect_series(a, b, stock, bond, out=None) -> tuple[np.ndarray, np.ndarray, 
     steps = np.subtract(stock[..., 1:], stock[..., :-1], out=defect[..., :-1])  # dS
     steps *= a[..., :-1]
     steps += np.multiply(b[..., :-1], bond[1:] - bond[:-1], out=value[..., :-1])
-    gain = comp_cumsum(steps, axis=-1, out=gain)
+    gain = comp_cumsum(steps, out=gain)
     np.multiply(a, stock, out=value)
     value += np.multiply(b, bond, out=defect)
     np.subtract(value, value[..., :1], out=defect)
@@ -95,25 +95,23 @@ def complete_bond(a, stock, bond, y0: float, out=None) -> np.ndarray:
 
     Where a, stock and the result are C-contiguous blocks of paths of one
     shape (a study block), the difference and the product by S run as one
-    pass each over the flat rows instead of one per path.
+    pass each over the flat rows instead of one per path; otherwise they run
+    over the arrays themselves, so a 1-D path skips the ravels.
     """
     b = _out(out, np.broadcast(a, stock).shape, a, stock, bond)
+    b0 = (float(y0) - a[..., 0] * stock[..., 0]) / bond[0]  # b overlaps neither a nor stock
     # The transfers are built in b's entries 1.. and accumulated in place.
-    flat = b.ndim > 1 and a.shape == stock.shape == b.shape
-    if flat and a.flags.c_contiguous and stock.flags.c_contiguous and b.flags.c_contiguous:
+    transfers = tail = b[..., 1:]
+    ra, rs = a, stock
+    if b.ndim > 1 and a.shape == stock.shape == b.shape and all(x.flags.c_contiguous for x in (a, stock, b)):
         # Flat entry p gets a_{p-1} - a_p, so each row's entry 0 gets the
         # difference across the row boundary; comp_cumsum's out_0 and b0
         # overwrite it.
-        af, tail = a.ravel(), b.ravel()[1:]
-        np.subtract(af[:-1], af[1:], out=tail)
-        tail *= stock.ravel()[1:]
-        transfers = b[..., 1:]
-    else:
-        transfers = np.subtract(a[..., :-1], a[..., 1:], out=b[..., 1:])
-        transfers *= stock[..., 1:]
+        ra, rs, tail = a.ravel(), stock.ravel(), b.ravel()[1:]
+    np.subtract(ra[..., :-1], ra[..., 1:], out=tail)
+    tail *= rs[..., 1:]
     transfers /= bond[1:]
-    b0 = (float(y0) - a[..., 0] * stock[..., 0]) / bond[0]
-    comp_cumsum(transfers, axis=-1, out=b)
+    comp_cumsum(transfers, out=b)
     b += b0[..., None]  # bitwise b0 + sum: IEEE + commutes
     b[..., 0] = b0  # 0.0 + b0 would turn a -0.0 start into +0.0
     return b

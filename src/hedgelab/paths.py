@@ -24,9 +24,10 @@ then, and the words keep those values (see _bridge_tag). A batch is drawn
 by passing a range of consecutive ascending path indices,
 generate_brownian(grid, seed, range(...)), and one path i is drawn as the
 range(i, i + 1): every draw is the same walk over the chunks its indices
-touch, drawing each once from one generator whose counter is reset per
-chunk, so each row of a batch is bit for bit the single-path draw. refine
-and gbm_path take the batch as they take one path.
+touch, drawing each once from one Philox generator, built before the
+walk, whose counter is set for every chunk, so each row of a batch is bit
+for bit the single-path draw. refine and gbm_path take the batch as they
+take one path.
 
 Every value type's arrays are checked and frozen by one rule, _freeze.
 
@@ -327,41 +328,24 @@ def _bridge_tag(lineage) -> tuple[int, int]:
     return tuple(words.tolist())
 
 
-class _Walk:
-    """One walk of _keyed_normals over its chunks: the seed's Philox key and
-    the generator its first chunk builds. The generator refers to the key,
-    not to the walk, so it is freed with the walk, not left in a cycle."""
-
-    __slots__ = ("key", "generator")
-
-    def __init__(self, seed: int):
-        self.key = _PhiloxKey(seed)
-        self.generator = None
-
-
-def _chunk_normals(walk: _Walk, j: int, tag: tuple, out: np.ndarray) -> np.ndarray:
+def _chunk_normals(generator: np.random.Generator, words, j: int, tag: tuple, out: np.ndarray) -> np.ndarray:
     """Fill the C-contiguous `out` with the first out.size normals of chunk j
-    of the walk's stream (its key, tag), and return it.
+    of the stream of key `words` and `tag`, and return it.
 
-    The walk's first chunk builds its generator, a Philox at the counter
-    [0, j, *tag]; each later chunk sets that generator's state to the one a
-    Philox built at its own counter starts in (the key, the counter and an
-    empty output buffer), which draws the same normals for a third of the
-    cost of a build.
+    The Philox `generator` is set to the state a Philox built at the
+    counter [0, j, *tag] starts in: the key, that counter and an empty
+    output buffer. It then draws the same normals as that new Philox, for a
+    third of the cost of a build.
     """
-    counter = [0, j, *tag]
-    if walk.generator is None:
-        walk.generator = np.random.Generator(np.random.Philox(walk.key, counter=np.array(counter, dtype=np.uint64)))
-    else:
-        walk.generator.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": counter, "key": walk.key.words},
-            "buffer": (0, 0, 0, 0),
-            "buffer_pos": 4,  # empty: the next draw computes a new block
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-    return walk.generator.standard_normal(out=out)
+    generator.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, j, *tag], "key": words},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,  # empty: the next draw computes a new block
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return generator.standard_normal(out=out)
 
 
 def _keyed_normals(key: tuple, shape: tuple, out=None) -> np.ndarray:
@@ -376,12 +360,15 @@ def _keyed_normals(key: tuple, shape: tuple, out=None) -> np.ndarray:
     the chunks its indices touch, each drawn once, up to the last row it
     needs: straight into the rows of `out` when the run starts on the
     chunk's first row and those rows are C-contiguous, else into a scratch
-    whose rows from the run's first one are copied out. A stepped or
-    descending range raises ValueError before anything is drawn.
+    whose rows from the run's first one are copied out. The draw builds one
+    Philox generator before the walk and sets it to every chunk's counter
+    (see _chunk_normals). A stepped or descending range raises ValueError
+    before anything is drawn.
     """
     seed, index, *lineage = key
     paths = _path_indices(index)
-    walk = _Walk(seed)
+    philox_key = _PhiloxKey(seed)
+    generator = np.random.Generator(np.random.Philox(philox_key))
     tag = _bridge_tag(lineage) if lineage else (0, 0)
     n = math.prod(shape)
     per_chunk = max(1, CHUNK_NORMALS // n)
@@ -393,9 +380,9 @@ def _keyed_normals(key: tuple, shape: tuple, out=None) -> np.ndarray:
         lo, hi = max(paths.start, first), min(paths.stop, first + per_chunk)
         dest = rows[lo - paths.start : hi - paths.start]
         if lo == first and dest.flags.c_contiguous:
-            _chunk_normals(walk, j, tag, dest)
+            _chunk_normals(generator, philox_key.words, j, tag, dest)
         else:
-            dest[...] = _chunk_normals(walk, j, tag, np.empty((hi - first, n)))[lo - first :]
+            dest[...] = _chunk_normals(generator, philox_key.words, j, tag, np.empty((hi - first, n)))[lo - first :]
     return out
 
 
@@ -428,7 +415,7 @@ def _gbm_stock(params: GbmParams, w: BrownianPath, measure: str, out=None) -> np
     else:
         raise ValueError(f"measure must be 'physical' or 'risk_neutral', got {measure!r}")
     t = w.grid.times
-    x = comp_cumsum(w.increments, axis=-1, out=out)
+    x = comp_cumsum(w.increments, out=out)
     # In place, with each product and sum's operands swapped: IEEE + and *
     # commute, so this is bitwise the textbook formula.
     x *= params.sigma

@@ -16,48 +16,44 @@ def mixed_terms(shape, seed=0):
     return np.where(rng.random(shape) < 0.5, -mags, mags)
 
 
-def rowwise(terms, axis):
-    """Reference: the 1-D branch applied to every line along `axis`."""
-    moved = np.moveaxis(terms, axis, -1)
-    out = np.empty((*moved.shape[:-1], moved.shape[-1] + 1))
-    for idx in np.ndindex(moved.shape[:-1]):
-        out[idx] = comp_cumsum(moved[idx])
-    return np.moveaxis(out, -1, axis)
+def rowwise(terms):
+    """Reference: the 1-D branch applied to every line (the last axis)."""
+    out = np.empty((*terms.shape[:-1], terms.shape[-1] + 1))
+    for idx in np.ndindex(terms.shape[:-1]):
+        out[idx] = comp_cumsum(terms[idx])
+    return out
 
 
 def test_nd_matches_1d_branch_bitwise_on_2d():
     terms = mixed_terms((37, 200))
     before = terms.copy()
-    got = comp_cumsum(terms, axis=-1)
-    assert np.array_equal(got, rowwise(terms, -1))
+    got = comp_cumsum(terms)
+    assert np.array_equal(got, rowwise(terms))
     assert np.array_equal(terms, before)  # input untouched
 
 
-@pytest.mark.parametrize("axis", [0, 1, -1])
-def test_nd_matches_1d_branch_bitwise_on_3d(axis):
+def test_nd_matches_1d_branch_bitwise_on_3d():
     terms = mixed_terms((5, 6, 7), seed=1)
     before = terms.copy()
-    got = comp_cumsum(terms, axis=axis)
-    want_shape = list(terms.shape)
-    want_shape[axis] += 1
-    assert got.shape == tuple(want_shape)
-    assert np.array_equal(got, rowwise(terms, axis))
+    got = comp_cumsum(terms)
+    assert got.shape == (5, 6, 8)
+    assert np.array_equal(got, rowwise(terms))
     assert np.array_equal(terms, before)
 
 
 @pytest.mark.parametrize("length", [0, 1])
 def test_nd_short_accumulation_axis(length):
     terms = mixed_terms((4, length), seed=2)
-    got = comp_cumsum(terms, axis=-1)
+    got = comp_cumsum(terms)
     assert got.shape == (4, length + 1)
-    assert np.array_equal(got, rowwise(terms, -1))
+    assert np.array_equal(got, rowwise(terms))
     assert np.array_equal(got[:, 0], np.zeros(4))
     assert np.array_equal(got[:, 1:], terms)  # a single term is its own prefix sum
 
 
 def test_compensation_recovers_cancelled_terms():
     terms = np.array([[1e8, 1e-8, -1e8, 1e-8]] * 3)
-    got = comp_cumsum(terms, axis=-1)
+    got = comp_cumsum(terms)
     assert np.array_equal(got[:, -1], np.full(3, 2 * 1e-8))
     assert np.cumsum(terms, axis=-1)[0, -1] != 2 * 1e-8  # naive summation drifts
 
@@ -114,29 +110,25 @@ def test_matches_scalar_loop_on_special_values(terms):
     finite = mixed_terms(len(terms), seed=5).tolist()
     for lines in ([terms, terms[::-1]], [terms, finite], [finite, terms], [finite, terms, finite]):
         want = np.stack([neumaier_loop(line) for line in lines])
-        assert_same_bits(comp_cumsum(np.array(lines), axis=-1), want)
+        assert_same_bits(comp_cumsum(np.array(lines)), want)
 
 
-@pytest.mark.parametrize(
-    "shape, axis",
-    [((37, 11, 3), 0), ((37, 11, 3), 1), ((37, 11, 3), -1)]
-    + [((lines, n), -1) for lines in (1, 2, 3, 5) for n in (12, 40)],
-)
-def test_rows_spanning_several_blocks_match_scalar_loop(monkeypatch, shape, axis):
-    # Tiny blocks split the 407, 111 or 33 rows into 1 to 17 rows a block,
-    # with a partial last block on every axis at 64 elements a block. The
-    # 1 to 5 lines of 12 or 40 terms run in blocks of 1, 2, 3 or 5 lines,
-    # some of them ending on an odd line. Each case also runs in place,
-    # with the terms in out[..., 1:] (strided lines where axis is not last).
+@pytest.mark.parametrize("shape", [(37, 11, 3)] + [(lines, n) for lines in (1, 2, 3, 5) for n in (12, 40)])
+def test_rows_spanning_several_blocks_match_scalar_loop(monkeypatch, shape):
+    # Tiny blocks split the 407 rows into 1 to 17 rows a block, with a
+    # partial last block at 64 elements a block. The 1 to 5 lines of 12 or
+    # 40 terms run in blocks of 1, 2, 3 or 5 lines, some of them ending on
+    # an odd line. Each case also runs in place, with the terms in
+    # out[..., 1:].
     terms = mixed_terms(shape, seed=3)
-    want = np.apply_along_axis(neumaier_loop, axis, terms)
+    want = np.apply_along_axis(neumaier_loop, -1, terms)
     out = np.full(want.shape, np.nan)
-    tail = np.moveaxis(np.moveaxis(out, axis, -1)[..., 1:], -1, axis)
+    tail = out[..., 1:]
     for block in (1, 8, 64):
         monkeypatch.setattr(accum, "BLOCK_ELEMENTS", block)
-        assert_same_bits(comp_cumsum(terms, axis=axis), want)
+        assert_same_bits(comp_cumsum(terms), want)
         tail[...] = terms
-        assert comp_cumsum(tail, axis=axis, out=out) is out
+        assert comp_cumsum(tail, out=out) is out
         assert_same_bits(out, want)
 
 
@@ -154,7 +146,7 @@ def test_every_line_matches_scalar_loop_whatever_its_partner(data, lines, n):
     value = st.one_of(st.floats(-1e8, 1e8), st.sampled_from(_SPECIAL), st.floats())
     terms = np.array(data.draw(st.lists(st.lists(value, min_size=n, max_size=n), min_size=lines, max_size=lines)))
     terms = terms.reshape(lines, n)
-    got = comp_cumsum(terms, axis=-1)
+    got = comp_cumsum(terms)
     for line, row in zip(terms, got):
         same_bits_up_to_nan_payload(row, neumaier_loop(line))
 
@@ -164,7 +156,7 @@ def test_non_finite_input_raises_no_warning():
         warnings.simplefilter("error")
         comp_cumsum([1e308, 1e308, -1e308, 5.0])
         comp_cumsum([np.inf, 1.0, -np.inf, np.nan])
-        comp_cumsum(np.array([[np.inf, -np.inf], [1e308, 1e308]]), axis=0)
+        comp_cumsum(np.array([[np.inf, -np.inf], [1e308, 1e308], [np.inf, 1e308], [-np.inf, 1e308]]))
 
 
 def test_accepts_any_array_like_and_leaves_it_untouched():
@@ -179,7 +171,7 @@ def test_accepts_any_array_like_and_leaves_it_untouched():
     }
     for name, terms in inputs.items():
         before = np.array(terms, copy=True)
-        got = comp_cumsum(terms, axis=-1)
+        got = comp_cumsum(terms)
         assert got.dtype == np.float64 and got.flags.writeable, name
         assert_same_bits(got, want)
         assert_same_bits(np.asarray(terms), before)

@@ -60,3 +60,40 @@ def _unused_imports(source: str) -> set[str]:
 def test_every_module_level_import_is_used(module):
     allowed = {name for mod, name in TRACER_ONLY_IMPORTS if mod == module.stem}
     assert _unused_imports(module.read_text()) == allowed
+
+
+def _references(tree: ast.AST, skip=range(0)) -> set[str]:
+    """Every identifier `tree` reads or imports, and every string constant
+    (perfbench names patched attributes as strings), outside the lines in
+    `skip`."""
+    found = set()
+    for node in ast.walk(tree):
+        if getattr(node, "lineno", None) in skip:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_every_module_level_definition_is_used(module):
+    # A definition counts as used when code in src/hedgelab other than its
+    # own body, perfbench, or README.md (as `module.name`) refers to it.
+    # Tests alone do not keep a definition alive.
+    others = [path for path in (*SRC.glob("*.py"), *ROOT.glob("perfbench/*.py")) if path != module]
+    used = set().union(*(_references(ast.parse(path.read_text())) for path in others))
+    used.update(name for mod, name in re.findall(r"`(\w+)\.(\w+)", README.read_text()) if mod == module.stem)
+    tree = ast.parse(module.read_text())
+    unused = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            own = range(min([node.lineno, *(d.lineno for d in node.decorator_list)]), node.end_lineno + 1)
+            if node.name not in used | _references(tree, skip=own):
+                unused.append(node.name)
+    assert unused == []

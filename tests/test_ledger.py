@@ -252,7 +252,7 @@ def _complete_bond_by_views(a, stock, bond, y0):
     transfers *= stock[..., 1:]
     transfers /= bond[1:]
     b0 = (float(y0) - a[..., 0] * stock[..., 0]) / bond[0]
-    comp_cumsum(transfers, axis=-1, out=b)
+    comp_cumsum(transfers, out=b)
     b += b0[..., None]
     b[..., 0] = b0
     return b

@@ -356,9 +356,9 @@ def _recording_chunks(monkeypatch):
     outs = []
     chunk_normals = paths._chunk_normals
 
-    def recording(key, j, tag, out):
+    def recording(generator, words, j, tag, out):
         outs.append(out)
-        return chunk_normals(key, j, tag, out)
+        return chunk_normals(generator, words, j, tag, out)
 
     monkeypatch.setattr(paths, "_chunk_normals", recording)
     return outs
@@ -514,7 +514,7 @@ def test_one_generator_a_walk_draws_what_a_philox_a_chunk_draws(monkeypatch, ind
     built = []
 
     def counting(*args, **kwargs):
-        built.append(kwargs["counter"])
+        built.append(args)
         return philox(*args, **kwargs)
 
     philox = np.random.Philox
@@ -527,25 +527,27 @@ def test_one_generator_a_walk_draws_what_a_philox_a_chunk_draws(monkeypatch, ind
     assert got.reshape(len(indices), n).tobytes() == want.tobytes()
 
 
-def test_a_one_chunk_draw_builds_one_philox_and_sets_no_state(monkeypatch):
+def test_a_one_chunk_draw_builds_one_philox_and_draws_its_chunks_bits(monkeypatch):
     built = []
     philox = np.random.Philox
 
-    class Recording(philox):
-        def __init__(self, *args, **kwargs):
-            built.append(kwargs["counter"].tolist())
-            super().__init__(*args, **kwargs)
+    def counting(*args, **kwargs):
+        built.append(args)
+        return philox(*args, **kwargs)
 
-        @property
-        def state(self):
-            return philox.state.__get__(self)
-
-        @state.setter
-        def state(self, value):
-            raise AssertionError("a one-chunk draw set a generator's state")
-
-    monkeypatch.setattr(np.random, "Philox", Recording)
-    grid = uniform_grid(1.0, 64)
-    w = generate_brownian(grid, 3, 40)  # 16 paths a chunk: chunk 2
-    refine(grid, w, 16)  # 1024 normals: one path a chunk
-    assert built == [[0, 2, 0, 0], [0, 40, *paths._bridge_tag((16,))]]
+    # (key, shape, the chunk's counter, the path's row in its chunk)
+    draws = [
+        ((3, 40), (64,), [0, 2, 0, 0], 8),  # 16 paths a chunk
+        ((3, 40, 16), (64, 16), [0, 40, *paths._bridge_tag((16,))], 0),  # 1024 normals: one path a chunk
+        ((3, 40, 64), (64, 64), [0, 40, *paths._bridge_tag((64,))], 0),  # a 4096-normal bridge
+    ]
+    for key, shape, counter, row in draws:
+        built.clear()
+        monkeypatch.setattr(np.random, "Philox", counting)
+        got = paths._keyed_normals(key, shape)
+        monkeypatch.setattr(np.random, "Philox", philox)
+        assert len(built) == 1, key
+        n = math.prod(shape)
+        bitgen = philox(paths._PhiloxKey(3), counter=np.array(counter, dtype=np.uint64))
+        want = np.random.Generator(bitgen).standard_normal((row + 1) * n)[row * n :]
+        assert got.tobytes() == want.tobytes(), key
