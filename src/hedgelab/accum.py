@@ -47,8 +47,10 @@ runs each pass once per pair. No pass mixes the parts (nothing multiplies
 or divides), so each line gets exactly its own operations in its own
 order, and its bits are those of the same passes in float64, NaN payloads
 aside as above: an infinity or NaN in one line leaves its partner's bits
-alone. A block of one line has no partner and runs the same passes on
-float64 buffers, since pairing it with a zero line would double its work.
+alone. A block of one line (a 1-D call, or a line longer than
+BLOCK_ELEMENTS) has no partner, since pairing it with a zero line would
+double its work: it runs the same passes as 1-D float64 passes over its
+own result row and two float64 rows, with no work buffer or block views.
 """
 
 from __future__ import annotations
@@ -119,71 +121,77 @@ def comp_cumsum(terms, out=None) -> np.ndarray:
     """
     full = np.asarray(terms, dtype=float)
     *lines, n = full.shape
-    m = math.prod(lines)  # lines to accumulate
-    rows = full.reshape(m, n)
     if out is None:
         result = np.empty((*lines, n + 1))
     else:
         result = _out(out, (*lines, n + 1))
         if not _same_view(result[..., 1:], full) and np.may_share_memory(result, full):
             raise ValueError("out must not overlap an input")
-    flat = result.reshape(m, n + 1)  # a copy where out's lines do not flatten in place
-    copy_back = out is not None and not np.may_share_memory(flat, result)
-    b = max(1, min(BLOCK_ELEMENTS // (n + 1) + 1, m))  # lines per block
-    # A block of two or more lines runs in pairs: lines 2i and 2i + 1 of the
-    # block are the real and imaginary parts of row i of complex work
-    # buffers, so each pass below does two lines at once. A block of one
-    # line runs the same passes on float64 buffers.
-    pairs = b > 1
-    # Work buffers: the running sums, a TwoSum temporary and, for pairs, the
-    # terms, which become the errors and then the compensation. A lone line
-    # keeps those in its own result row.
-    work = np.empty((2 + pairs, -(-b // 2), n + 1), np.complex128 if pairs else np.float64)
-    for lo in range(0, m, b):
-        hi = min(lo + b, m)
-        x, c = rows[lo:hi], flat[lo:hi]
-        if lo == 0 or hi - lo < b:  # views of the first block and of a short last one
-            q = -(-(hi - lo) // 2)  # buffer rows
-            ws = work if lo == 0 else work[:, :q]
-            s, t = ws[0], ws[1].ravel()[1:]
-            sf = s.ravel()
-            prev, cur = sf[:-1], sf[1:]
-            if pairs:
+    if full.ndim == 1:  # one line, whose row is the result itself, whatever its strides
+        rows, flat, b, copy_back = (full,), (result,), 1, False
+    else:
+        m = math.prod(lines)  # lines to accumulate
+        rows = full.reshape(m, n)
+        flat = result.reshape(m, n + 1)  # a copy where out's lines do not flatten in place
+        copy_back = out is not None and not np.may_share_memory(flat, result)
+        b = max(1, min(BLOCK_ELEMENTS // (n + 1) + 1, m))  # lines per block
+    if b == 1:
+        # A block of one line runs 1-D passes over its own result row, which
+        # holds its terms, then its errors, then its compensation, and over
+        # two float64 rows: the running sums and a TwoSum temporary.
+        s, t = np.empty(n + 1), np.empty(n)
+        prev, cur = s[:-1], s[1:]
+        for x, c in zip(rows, flat):
+            e = c[1:]
+            e[...] = x  # x may be e itself (in place)
+            c[0] = 0.0
+            np.add.accumulate(c, out=s)
+            np.subtract(cur, prev, out=t)  # TwoSum, as for pairs below
+            np.subtract(e, t, out=e)
+            np.subtract(cur, t, out=t)
+            np.subtract(prev, t, out=t)
+            e += t
+            np.add.accumulate(c, out=c)
+            np.add(s, c, out=c)
+    else:
+        # A block of two or more lines runs in pairs: lines 2i and 2i + 1 of
+        # the block are the real and imaginary parts of row i of complex work
+        # buffers, so each pass below does two lines at once. The buffers
+        # hold the running sums, a TwoSum temporary and the terms, which
+        # become the errors and then the compensation.
+        work = np.empty((3, -(-b // 2), n + 1), np.complex128)
+        for lo in range(0, m, b):
+            hi = min(lo + b, m)
+            x, c = rows[lo:hi], flat[lo:hi]
+            if lo == 0 or hi - lo < b:  # views of the first block and of a short last one
+                q = -(-(hi - lo) // 2)  # buffer rows
                 k = (hi - lo) // 2  # lines in the imaginary parts
-                xs = ws[2]
-                xf = xs.ravel()
-                e = xf[1:]
+                ws = work if lo == 0 else work[:, :q]
+                s, t, xs = ws[0], ws[1].ravel()[1:], ws[2]
+                sf, xf = s.ravel(), xs.ravel()
+                prev, cur, e = sf[:-1], sf[1:], xf[1:]
                 xs[:, 0] = 0.0
-        # x may be the result's own rows (in place); it is copied before the
-        # block's result rows are written.
-        if pairs:
+            # x may be the result's own rows (in place); it is copied before the
+            # block's result rows are written.
             xs.real[:, 1:] = x[0::2]
             xs.imag[:k, 1:] = x[1::2]
             if k < q:  # an odd last line's partner: never read, but zeroed so that
                 xs.imag[k:, 1:] = 0.0  # stale or subnormal values do not slow the passes
-        else:  # a lone line: its result row holds its terms, errors and compensation
-            xs, xf = c, c.reshape(-1)
-            e = xf[1:]
-            e[...] = x[0]
-            xf[0] = 0.0
-        np.add.accumulate(xs, axis=1, out=s)
-        # TwoSum runs over each buffer as one flat series, cur_k = s_k and
-        # prev_k = s_{k-1}, with e_k written over x_k. Where k starts a row,
-        # prev is the previous row's last sum: those entries are reset to
-        # c_0 = 0.0 before the compensation is accumulated.
-        np.subtract(cur, prev, out=t)  # bb = s - s_prev
-        np.subtract(e, t, out=e)  # x - bb
-        np.subtract(cur, t, out=t)  # s - bb
-        np.subtract(prev, t, out=t)  # s_prev - (s - bb)
-        e += t
-        if q > 1:
-            xf[:: n + 1] = 0.0
-        np.add.accumulate(xs, axis=1, out=xs)
-        if pairs:
+            np.add.accumulate(xs, axis=1, out=s)
+            # TwoSum runs over each buffer as one flat series, cur_k = s_k and
+            # prev_k = s_{k-1}, with e_k written over x_k. Where k starts a row,
+            # prev is the previous row's last sum: those entries are reset to
+            # c_0 = 0.0 before the compensation is accumulated.
+            np.subtract(cur, prev, out=t)  # bb = s - s_prev
+            np.subtract(e, t, out=e)  # x - bb
+            np.subtract(cur, t, out=t)  # s - bb
+            np.subtract(prev, t, out=t)  # s_prev - (s - bb)
+            e += t
+            if q > 1:
+                xf[:: n + 1] = 0.0
+            np.add.accumulate(xs, axis=1, out=xs)
             np.add(s.real, xs.real, out=c[0::2])
             np.add(s.imag[:k], xs.imag[:k], out=c[1::2])
-        else:
-            np.add(s, xs, out=xs)
     if copy_back:
         np.copyto(result, flat.reshape(result.shape))
     return result

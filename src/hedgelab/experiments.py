@@ -26,11 +26,16 @@ of one result array, and the study reduces it once, so no output depends
 on the lane count.
 
 Lane 0 runs on the calling thread and every other lane on a thread of its
-own, so a level on one lane starts no thread. Threads suffice because a
-block's work is numpy and scipy code that releases the interpreter lock:
-ufunc loops, np.add.accumulate, the Philox fills and scipy's ndtr. A study
-runs one lane per usable CPU, at most 8, and one lane on a process with
-one usable CPU or on a level that fits one block. The usable CPUs are the
+own, so a level on one lane starts no thread. Threads suffice because
+most of a block's work is numpy and scipy code that releases the
+interpreter lock: ufunc loops, the Philox fills and scipy's ndtr. An
+np.add.accumulate releases it only over a long 1-D operand or, along the
+last axis of a 2-D one, over more than about 500 rows (numpy 2.4.6). So
+accum.comp_cumsum's block accumulates on lines of 32 terms or more, every
+study grid, run over fewer complex rows and hold the lock, while a lone
+line's 1-D passes (a grid longer than accum.BLOCK_ELEMENTS) release it.
+A study runs one lane per usable CPU, at most 8, and one lane on a
+process with one usable CPU or on a level that fits one block. The usable CPUs are the
 affinity mask capped at the cgroup CPU quota rounded up, so a container
 granted 1.5 CPUs on a larger host runs 2 lanes. An interrupt returns
 only after every lane has left its blocks. Only 1 and 2 lanes have been

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -130,6 +131,62 @@ def test_rows_spanning_several_blocks_match_scalar_loop(monkeypatch, shape):
         tail[...] = terms
         assert comp_cumsum(tail, out=out) is out
         assert_same_bits(out, want)
+
+
+# Longer than a block, so each such line is a block of its own.
+LONG = accum.BLOCK_ELEMENTS + 1000
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(0,), (1,), (1024,), (1, 0), (1, 1), (1, 1024), (3, LONG), (2, 2, LONG)],
+    ids=lambda shape: "x".join(map(str, shape)),
+)
+def test_lone_lines_match_scalar_loop_in_every_out_form(shape):
+    # A 1-D call, a (1, n) call and lines longer than a block run one line a
+    # block. Each out form is given the terms separately and holding them in
+    # out[..., 1:]: a C-contiguous out; a strided one, whose 1-D form is a
+    # line of stride 16 bytes; and for 2 x 2 lines a transposed out, whose
+    # lines do not flatten in place, so the result is copied back.
+    *lead, n = shape
+    terms = mixed_terms(shape, seed=n + len(shape))
+    want = np.apply_along_axis(neumaier_loop, -1, terms).reshape(*lead, n + 1)
+    forms = {
+        "contiguous": lambda: np.empty((*lead, n + 1)),
+        "strided": lambda: np.empty((*lead, 2 * (n + 1)))[..., ::2],
+    }
+    if len(lead) == 2:
+        forms["transposed"] = lambda: np.empty((lead[1], lead[0], n + 1)).transpose(1, 0, 2)
+    for name, make in forms.items():
+        for in_place in (False, True):
+            out = make()
+            out[...] = np.nan
+            if in_place:
+                out[..., 1:] = terms
+            assert comp_cumsum(out[..., 1:] if in_place else terms, out=out) is out, name
+            assert_same_bits(out, want)
+
+
+@pytest.mark.parametrize("shape", [(1 << 16,), (3, LONG)], ids=["one-line", "three-long-lines"])
+def test_lone_line_work_memory_is_two_float64_rows(shape):
+    # The BLOCK_ELEMENTS bound for a block of one line: two float64 rows,
+    # 16 * (n + 1) bytes, beside the out it was handed, whatever the number
+    # of lines. Three long lines are three real one-line blocks.
+    n = shape[-1]
+    terms = mixed_terms(shape, seed=6)
+    out = np.empty((*shape[:-1], n + 1))
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        comp_cumsum(terms, out=out)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert peak <= 16 * (n + 1) + 4096
 
 
 def same_bits_up_to_nan_payload(got, want):
