@@ -62,9 +62,26 @@ import numpy as np
 # Elements per row block, lines times entries (n + 1 for n terms). The
 # block's work buffers stay in cache, and peak memory is the output plus
 # those buffers: three complex ones of half the block's lines, at most
-# 24 * (BLOCK_ELEMENTS + 2 * (n + 1)) bytes, or two float64 rows,
-# 16 * (n + 1) bytes, when a block is one line.
-BLOCK_ELEMENTS = 1 << 15
+# 24 * (BLOCK_ELEMENTS + 2 * (n + 1)) bytes (about 1.6 MB), or two float64
+# rows, 16 * (n + 1) bytes, when a block is one line.
+#
+# numpy (2.4.6) releases the interpreter lock in a 2-D accumulate along
+# axis 1 only over more than 500 rows, so only a block of 1001 lines or
+# more lets another thread run during its accumulates. On lines of up to
+# 64 terms a block holds at least 1009 lines: a call of 1001 to 1009 such
+# lines, and the 4032- and 2016-line blocks of a 64-step study at 1 and 2
+# lanes (3 x 1009 + 1005 and 1009 + 1007), run every accumulate with the
+# lock released. A call's short last block, and lines of 1024 or more
+# terms (64 or fewer lines a block: verify's refined levels), hold it.
+# On a 2-vCPU host, two threads on (2016, 64) calls ran 1.81-1.87x the
+# throughput of one, where 2**15 (505-line blocks) ran 1.16-1.17x; at
+# 2**17 one thread took 15% longer a call than at 2**16.
+BLOCK_ELEMENTS = 1 << 16
+
+
+def _block_lines(m: int, n: int) -> int:
+    """Lines per row block of `comp_cumsum` over m lines of n terms."""
+    return max(1, min(BLOCK_ELEMENTS // (n + 1) + 1, m))
 
 
 def _out(out, shape, *inputs) -> np.ndarray:
@@ -134,7 +151,7 @@ def comp_cumsum(terms, out=None) -> np.ndarray:
         rows = full.reshape(m, n)
         flat = result.reshape(m, n + 1)  # a copy where out's lines do not flatten in place
         copy_back = out is not None and not np.may_share_memory(flat, result)
-        b = max(1, min(BLOCK_ELEMENTS // (n + 1) + 1, m))  # lines per block
+        b = _block_lines(m, n)
     if b == 1:
         # A block of one line runs 1-D passes over its own result row, which
         # holds its terms, then its errors, then its compensation, and over

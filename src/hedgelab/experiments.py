@@ -30,11 +30,18 @@ own, so a level on one lane starts no thread. Threads suffice because
 most of a block's work is numpy and scipy code that releases the
 interpreter lock: ufunc loops, the Philox fills and scipy's ndtr. An
 np.add.accumulate releases it only over a long 1-D operand or, along the
-last axis of a 2-D one, over more than about 500 rows (numpy 2.4.6). So
-accum.comp_cumsum's block accumulates on lines of 32 terms or more, every
-study grid, run over fewer complex rows and hold the lock, while a lone
-line's 1-D passes (a grid longer than accum.BLOCK_ELEMENTS) release it.
-A study runs one lane per usable CPU, at most 8, and one lane on a
+last axis of a 2-D one, over more than 500 rows (numpy 2.4.6).
+accum.comp_cumsum holds two lines a complex row, so its row blocks of
+1001 lines or more release it. Those are all the row blocks of a full
+64-step block at 1, 2 and 4 lanes (4032, 2016 and 1008 paths); on a
+2-vCPU host two threads ran comp_cumsum on such blocks at 1.81-1.87x the
+throughput of one. A level's short last block, the 335-line second row
+block of a 3-lane 1344-path block, and verify's refined levels (64 and 16
+lines a row block at 1025 and 4097 points) hold it; a lone line's 1-D
+passes (a grid longer than accum.BLOCK_ELEMENTS) release it. strategies.constant_mix_holdings (63
+steps of 7 calls on one column each) passes the lock back and forth and
+runs slower on two threads than on one.
+A study runs one lane per usable CPU, at most 4, and one lane on a
 process with one usable CPU or on a level that fits one block. The usable CPUs are the
 affinity mask capped at the cgroup CPU quota rounded up, so a container
 granted 1.5 CPUs on a larger host runs 2 lanes. An interrupt returns
@@ -260,7 +267,12 @@ def _per_path(cfg: ExperimentConfig, factor: int, measure: str, fn, n_values: in
     It runs on lanes = min(_usable_cpus(), BUDGET // accum.BLOCK_ELEMENTS,
     blocks, BUDGET // n_points), at least one, where `blocks` is the
     level's block count at one lane, so a level that fits one block, or
-    whose grid has more than BUDGET / 2 points, runs on one lane. A block
+    whose grid has more than BUDGET / 2 points, runs on one lane. The cap
+    BUDGET // accum.BLOCK_ELEMENTS (4) keeps a lane's block at least one
+    comp_cumsum row block: past 4 lanes a 64-step lane block falls under
+    1002 paths (806 at 5 lanes), and the accumulates of its 403 complex
+    rows would hold the interpreter lock again (see the module
+    docstring). A block
     holds rows = min(max(1, BUDGET // lanes // n_points), n_paths)
     consecutive path indices (fewer in the last), so lanes * rows *
     n_points <= BUDGET wherever the one-lane block fits BUDGET: all lanes'

@@ -151,8 +151,9 @@ def test_read_only_out_is_refused():
         comp_cumsum(np.ones(9), out=out)
 
 
-# The last out is a 3-D view whose lines do not flatten in place: the sums
-# are built in a copy of its lines and copied back.
+# The 3d-strided out is a 3-D view whose lines do not flatten in place: the
+# sums are built in a copy of its lines and copied back. The last out is a
+# 64-step study block at 2 lanes.
 @pytest.mark.parametrize(
     "out_of",
     [
@@ -160,18 +161,25 @@ def test_read_only_out_is_refused():
         lambda: np.empty((7, 10)),
         lambda: np.empty((2, 3, 10)),
         lambda: np.empty((3, 2, 12)).transpose(1, 0, 2)[..., :10],
+        lambda: np.empty((2016, 65)),
     ],
-    ids=["1d", "2d", "3d", "3d-strided"],
+    ids=["1d", "2d", "3d", "3d-strided", "2016x64"],
 )
-@pytest.mark.parametrize("block_elements", [16, accum.BLOCK_ELEMENTS], ids=["2-row-blocks", "one-block"])
+@pytest.mark.parametrize(
+    "block_elements", [16, 1 << 15, accum.BLOCK_ELEMENTS], ids=["2-row-blocks", "2**15", "one-block"]
+)
 def test_comp_cumsum_accumulates_terms_held_in_its_out(monkeypatch, out_of, block_elements):
     # 16-element blocks hold 2 rows of 10, so 7 lines end on a short block.
-    monkeypatch.setattr(accum, "BLOCK_ELEMENTS", block_elements)
+    # The 2016 lines of 64 terms run in blocks of 505 lines at 2**15, and of
+    # 1009 and 1007 at BLOCK_ELEMENTS (one block for the smaller outs): the
+    # bits are those of the allocating call at BLOCK_ELEMENTS whatever the
+    # block size.
     out = out_of()
     out[...] = np.nan
     tail = out[..., 1:]
     terms = RNG.standard_normal(tail.shape) * 10.0 ** RNG.integers(-3, 4, size=tail.shape)
     want = comp_cumsum(terms)
+    monkeypatch.setattr(accum, "BLOCK_ELEMENTS", block_elements)
     tail[...] = terms
     assert comp_cumsum(tail, out=out) is out
     assert out.tobytes() == want.tobytes()

@@ -606,6 +606,48 @@ def test_per_path_is_bitwise_equal_at_any_lane_count(monkeypatch, level):
     assert all(run == runs[0] for run in runs)
 
 
+def test_martingale_csv_at_real_block_sizes_is_the_same_on_one_and_two_lanes(tmp_path, monkeypatch):
+    # 64-step blocks of 4032 paths at one lane and 2016 at two, plus the
+    # 1216-path last block of a 100k-path run; comp_cumsum's row blocks of
+    # 1009 lines, and of 505 at the former 2**15-element size.
+    cfg = ExperimentConfig(n_paths=2 * (experiments.BUDGET // 65) + 1216, seed=5)
+    csvs = []
+    for lanes, block_elements in ((1, accum.BLOCK_ELEMENTS), (2, accum.BLOCK_ELEMENTS), (2, 1 << 15)):
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: lanes)
+        monkeypatch.setattr(accum, "BLOCK_ELEMENTS", block_elements)
+        dest = tmp_path / f"{lanes}-{block_elements}.csv"
+        write_result_csv(martingale_test(cfg, _default_martingale_roster(cfg)), dest)
+        csvs.append(dest.read_bytes())
+    assert csvs[0] == csvs[1] == csvs[2]
+
+
+@pytest.mark.parametrize("lanes", [1, 2, experiments.BUDGET // accum.BLOCK_ELEMENTS])
+def test_64_step_lane_blocks_accumulate_over_more_than_500_complex_rows(monkeypatch, lanes):
+    # numpy (2.4.6) releases the interpreter lock in a 2-D accumulate along
+    # axis 1 only over more than 500 rows, and comp_cumsum holds two lines a
+    # complex row. Both comp_cumsum calls of a 64-step martingale block
+    # (gbm_path's and the delta hedge's complete_bond), at 1 and 2 lanes and
+    # at the lane cap, are 1002 lines or more, and each of their row blocks,
+    # as comp_cumsum plans them at the real BLOCK_ELEMENTS, is over 500
+    # complex rows. (At 3 lanes a 1344-line block splits 1009 + 335.)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: lanes)
+    plans = []
+    block_lines = accum._block_lines
+
+    def recording(m, n):
+        plans.append((m, n))
+        return block_lines(m, n)
+
+    monkeypatch.setattr(accum, "_block_lines", recording)
+    cfg = ExperimentConfig(n_paths=4 * (experiments.BUDGET // 65), seed=5)
+    martingale_test(cfg, _default_martingale_roster(cfg))
+    assert {m for m, _ in plans} == {experiments.BUDGET // lanes // 65}
+    for m, n in set(plans):
+        b = block_lines(m, n)
+        assert n == 64 and m >= 1002
+        assert all(-(-min(b, m - lo) // 2) > 500 for lo in range(0, m, b))
+
+
 def test_more_lanes_than_cpus_under_rapid_switching_give_the_serial_values(monkeypatch):
     # Six lanes of one path a block each on 53 paths, switching threads
     # every microsecond: a block written to the wrong columns, or a flag
