@@ -65,17 +65,18 @@ import numpy as np
 # 24 * (BLOCK_ELEMENTS + 2 * (n + 1)) bytes (about 1.6 MB), or two float64
 # rows, 16 * (n + 1) bytes, when a block is one line.
 #
-# numpy (2.4.6) releases the interpreter lock in a 2-D accumulate along
-# axis 1 only over more than 500 rows, so only a block of 1001 lines or
-# more lets another thread run during its accumulates. On lines of up to
-# 64 terms a block holds at least 1009 lines: a call of 1001 to 1009 such
-# lines, and the 4032- and 2016-line blocks of a 64-step study at 1 and 2
-# lanes (3 x 1009 + 1005 and 1009 + 1007), run every accumulate with the
-# lock released. A call's short last block, and lines of 1024 or more
-# terms (64 or fewer lines a block: verify's refined levels), hold it.
-# On a 2-vCPU host, two threads on (2016, 64) calls ran 1.81-1.87x the
-# throughput of one, where 2**15 (505-line blocks) ran 1.16-1.17x; at
-# 2**17 one thread took 15% longer a call than at 2**16.
+# numpy (2.4.6) releases the interpreter lock in an accumulate over a
+# long 1-D operand, as a lone line's passes are, but in a 2-D accumulate
+# along axis 1 only over more than 500 rows. A block holds two lines a
+# complex row, so only a block of 1001 lines or more lets another thread
+# run during its accumulates. On lines of up to 64 terms a block holds at
+# least 1009 lines: a call of 1001 to 1009 such lines, and the 4032- and
+# 2016-line blocks of a 64-step study at 1 and 2 lanes (3 x 1009 + 1005
+# and 1009 + 1007), run every accumulate with the lock released. A call's
+# short last block, and lines of 1024 or more terms (64 or fewer lines a
+# block: verify's refined levels at 1025 and 4097 points), hold it. 2**16
+# is the least power of two with such blocks for 64-term lines; at 2**17
+# a call takes longer on one thread.
 BLOCK_ELEMENTS = 1 << 16
 
 

@@ -36,6 +36,7 @@ import dataclasses
 import json
 import os
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +57,12 @@ from .ledger import write_ledger_csv
 from .paths import STREAM, GbmParams, MarketPath, gbm_path, generate_brownian, uniform_grid
 from .strategies import delta_hedge
 
-COMMANDS = ("simulate", "verify", "hedge", "martingale")
+COMMANDS = {
+    "simulate": "write market path and ledger CSVs",
+    "verify": "defect refinement study (self-financing identity)",
+    "hedge": "hedging-error convergence study",
+    "martingale": "risk-neutral equal-rate-of-return test",
+}
 
 # simulate's block sizes: paths per batch draw, and paths.csv rows per
 # formatted chunk. Neither changes a byte of the output; together they
@@ -68,29 +74,26 @@ def _parse_factors(value: str) -> tuple[int, ...]:
     return tuple(int(part.strip()) for part in value.split(","))
 
 
-# key -> parser, in document order. The keys are exactly the fields of
-# ExperimentConfig, with GbmParams' four in place of params. Defaults and
-# constraints live in the config dataclasses (ExperimentConfig, GbmParams,
-# EuropeanCall).
-_CONFIG_KEYS = {
-    "s0": float,
-    "mu": float,
-    "sigma": float,
-    "r": float,
-    "horizon": float,
-    "base_steps": int,
-    "refinement_factors": _parse_factors,
-    "n_paths": int,
-    "seed": int,
-    "strike": float,
-}
+def _expand(fields: dict) -> dict:
+    """ExperimentConfig's fields in order, with the entries of fields["params"] in its place."""
+    return {k: v for name, value in fields.items() for k, v in (value if name == "params" else {name: value}).items()}
 
-_PARAMS_KEYS = tuple(f.name for f in dataclasses.fields(GbmParams))
+
+# key -> parser, in document order: the fields of ExperimentConfig, with
+# GbmParams' in place of params, each parsed by its field type (a type
+# missing from _PARSERS fails at import). Keys, defaults and constraints
+# live in the config dataclasses (ExperimentConfig, GbmParams, EuropeanCall).
+_PARSERS = {float: float, int: int, tuple[int, ...]: _parse_factors}
+_PARAMS_TYPES = typing.get_type_hints(GbmParams)
+_CONFIG_KEYS = {
+    key: _PARSERS[kind]
+    for key, kind in _expand({**typing.get_type_hints(ExperimentConfig), "params": _PARAMS_TYPES}).items()
+}
 
 
 def _flat(cfg: ExperimentConfig) -> dict:
     """The config as the flat key -> value view of the document form."""
-    return {key: getattr(cfg.params if key in _PARAMS_KEYS else cfg, key) for key in _CONFIG_KEYS}
+    return _expand(dataclasses.asdict(cfg))
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -111,7 +114,7 @@ def parse_config(text: str) -> ExperimentConfig:
             resolved[key] = _CONFIG_KEYS[key](value)
         except ValueError:
             raise ValueError(f"invalid value for {key!r}: {value!r}") from None
-    params = GbmParams(**{key: resolved.pop(key) for key in _PARAMS_KEYS})
+    params = GbmParams(**{key: resolved.pop(key) for key in _PARAMS_TYPES})
     return ExperimentConfig(params=params, **resolved)
 
 
@@ -266,14 +269,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "simulate": "write market path and ledger CSVs",
-        "verify": "defect refinement study (self-financing identity)",
-        "hedge": "hedging-error convergence study",
-        "martingale": "risk-neutral equal-rate-of-return test",
-    }
-    for name in COMMANDS:
-        p = sub.add_parser(name, help=helps[name])
+    for name, summary in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", type=Path, default=None, help="flat key=value config file")
         p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override config seed")

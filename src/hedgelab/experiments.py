@@ -28,26 +28,9 @@ on the lane count.
 Lane 0 runs on the calling thread and every other lane on a thread of its
 own, so a level on one lane starts no thread. Threads suffice because
 most of a block's work is numpy and scipy code that releases the
-interpreter lock: ufunc loops, the Philox fills and scipy's ndtr. An
-np.add.accumulate releases it only over a long 1-D operand or, along the
-last axis of a 2-D one, over more than 500 rows (numpy 2.4.6).
-accum.comp_cumsum holds two lines a complex row, so its row blocks of
-1001 lines or more release it. Those are all the row blocks of a full
-64-step block at 1, 2 and 4 lanes (4032, 2016 and 1008 paths); on a
-2-vCPU host two threads ran comp_cumsum on such blocks at 1.81-1.87x the
-throughput of one. A level's short last block, the 335-line second row
-block of a 3-lane 1344-path block, and verify's refined levels (64 and 16
-lines a row block at 1025 and 4097 points) hold it; a lone line's 1-D
-passes (a grid longer than accum.BLOCK_ELEMENTS) release it. strategies.constant_mix_holdings (63
-steps of 7 calls on one column each) passes the lock back and forth and
-runs slower on two threads than on one.
-A study runs one lane per usable CPU, at most 4, and one lane on a
-process with one usable CPU or on a level that fits one block. The usable CPUs are the
-affinity mask capped at the cgroup CPU quota rounded up, so a container
-granted 1.5 CPUs on a larger host runs 2 lanes. An interrupt returns
-only after every lane has left its blocks. Only 1 and 2 lanes have been
-timed (on a 2-vCPU host with no quota); more lanes, and a quota below the
-affinity mask, are untimed.
+interpreter lock: ufunc loops, the Philox fills and scipy's ndtr. How
+many lanes a level runs on, and which steps of a block hold the lock, are
+set out in _per_path's docstring and at accum.BLOCK_ELEMENTS.
 """
 
 from __future__ import annotations
@@ -210,11 +193,11 @@ class ResultRow:
 class ExperimentResult:
     name: str
     rows: tuple[ResultRow, ...]
-    verdict: str  # "pass" | "fail"
 
-
-def _verdict(rows) -> str:
-    return "pass" if all(row.status != "fail" for row in rows) else "fail"
+    @property
+    def verdict(self) -> str:
+        """The result's verdict: "fail" if any row fails, else "pass"."""
+        return "pass" if all(row.status != "fail" for row in self.rows) else "fail"
 
 
 # ---------------------------------------------------------------------------
@@ -269,11 +252,20 @@ def _per_path(cfg: ExperimentConfig, factor: int, measure: str, fn, n_values: in
     level's block count at one lane, so a level that fits one block, or
     whose grid has more than BUDGET / 2 points, runs on one lane. The cap
     BUDGET // accum.BLOCK_ELEMENTS (4) keeps a lane's block at least one
-    comp_cumsum row block: past 4 lanes a 64-step lane block falls under
-    1002 paths (806 at 5 lanes), and the accumulates of its 403 complex
-    rows would hold the interpreter lock again (see the module
-    docstring). A block
-    holds rows = min(max(1, BUDGET // lanes // n_points), n_paths)
+    comp_cumsum row block, whose accumulates release the interpreter lock
+    only at 1001 lines or more (see accum.BLOCK_ELEMENTS). A full 64-step
+    block at 1, 2 and 4 lanes (4032, 2016 and 1008 paths) has only such
+    row blocks; past 4 lanes it falls under 1002 paths (806 at 5 lanes),
+    and the accumulates of its 403 complex rows would hold the lock. A
+    level's short last block and the 335-line second row block of a
+    3-lane 1344-path block hold it too. Of a block's other steps,
+    strategies.constant_mix_holdings (63 steps of 7 calls on one column
+    each) passes the lock back and forth and runs slower on two threads
+    than on one. Only 1 and 2 lanes have been timed, on a 2-vCPU host with
+    no quota; more lanes, and a quota below the affinity mask, are
+    untimed.
+
+    A block holds rows = min(max(1, BUDGET // lanes // n_points), n_paths)
     consecutive path indices (fewer in the last), so lanes * rows *
     n_points <= BUDGET wherever the one-lane block fits BUDGET: all lanes'
     blocks together are no larger than the one-lane block. Lane 0 runs on
@@ -398,10 +390,8 @@ def _discounted_terminal(spec: StrategySpec, mkt: MarketPath, work, out: np.ndar
     itself dies on return, before the next strategy's is built.
     """
     a, b = spec.build(mkt, out=work)
-    a2 = np.broadcast_to(a, mkt.stock.shape)
-    b2 = np.broadcast_to(b, mkt.stock.shape)
-    np.divide(a2[:, -1] * mkt.stock[:, -1] + b2[:, -1] * mkt.bond[-1], mkt.bond[-1], out=out)
-    return float(a2[0, 0] * mkt.stock[0, 0] + b2[0, 0] * mkt.bond[0])
+    np.divide(a[..., -1] * mkt.stock[:, -1] + b[..., -1] * mkt.bond[-1], mkt.bond[-1], out=out)
+    return float(a.item(0) * mkt.stock[0, 0] + b.item(0) * mkt.bond[0])
 
 
 def _block_discounted(strategies: list[StrategySpec], mkt: MarketPath, work, out):
@@ -436,15 +426,13 @@ def delta_hedge_spec(option: EuropeanCall, vol: float) -> StrategySpec:
     return StrategySpec(f"delta_hedge(K={option.strike:g})", build)
 
 
-def cash_injection_spec(
-    amount: float, at_index: int | None = None, a0: float = 1.0, b0: float = 0.0
-) -> StrategySpec:
-    """Buy-and-hold plus external money appearing at one rebalance (control)."""
+def cash_injection_spec(amount: float) -> StrategySpec:
+    """One share held, plus `amount` of external money appearing at grid
+    index n_points // 2 (control)."""
 
     def build(mkt: MarketPath, out=None):
         n = mkt.grid.n_points
-        j = n // 2 if at_index is None else at_index
-        return np.full(n, float(a0)), inject_cash(np.full(n, float(b0)), mkt.bond, amount, j)
+        return np.full(n, 1.0), inject_cash(np.zeros(n), mkt.bond, amount, n // 2)
 
     return StrategySpec(f"cash_injection(amount={amount:g})", build, control=True)
 
@@ -484,8 +472,7 @@ def defect_refinement_study(cfg: ExperimentConfig) -> ExperimentResult:
         else:
             status = "fail"
         rows.append(ResultRow(f"N={n_steps} frozen_bond", max_frozen, 0.0, status))
-    rows = tuple(rows)
-    return ExperimentResult("defect_refinement", rows, _verdict(rows))
+    return ExperimentResult("defect_refinement", tuple(rows))
 
 
 def martingale_test(cfg: ExperimentConfig, strategies: list[StrategySpec]) -> ExperimentResult:
@@ -514,8 +501,7 @@ def martingale_test(cfg: ExperimentConfig, strategies: list[StrategySpec]) -> Ex
         else:
             status = "pass" if inside else "fail"
         rows.append(ResultRow(f"{spec.name} Y0={format(y0, '.17g')}", estimate, stderr, status))
-    rows = tuple(rows)
-    return ExperimentResult("martingale", rows, _verdict(rows))
+    return ExperimentResult("martingale", tuple(rows))
 
 
 def hedging_convergence(cfg: ExperimentConfig) -> ExperimentResult:
@@ -555,8 +541,7 @@ def hedging_convergence(cfg: ExperimentConfig) -> ExperimentResult:
         slope = _loglog_slope(counts, rms_values)
         ok = DEFAULT_TOLERANCES["slope_min"] <= slope <= DEFAULT_TOLERANCES["slope_max"]
         rows.append(ResultRow("slope", slope, 0.0, "pass" if ok else "fail"))
-    rows = tuple(rows)
-    return ExperimentResult("hedging_convergence", rows, _verdict(rows))
+    return ExperimentResult("hedging_convergence", tuple(rows))
 
 
 def _loglog_slope(xs, ys) -> float:

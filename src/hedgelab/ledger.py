@@ -10,8 +10,8 @@ positions; the remaining four are the per-step self-financing defect and
 equal da_k * S_{k+1} + db_k * beta_{k+1}: a rebalance settles at the new
 prices, so value appears (or vanishes) exactly when a rebalance is not
 funded by an offsetting transfer. A strategy is self-financing iff these
-four terms cancel at every step, which `complete_bond` achieves by
-construction for `enforce_self_financing` and the delta hedge.
+four terms cancel at every step, which `strategies.complete_bond` achieves
+by construction for `enforce_self_financing` and the delta hedge.
 
 Each quantity has one source: `self_financing_defect` gives the value Y,
 the gain G and the cumulative defect D = Y - Y_0 - G, and
@@ -33,7 +33,7 @@ import numpy as np
 from .accum import _out, comp_cumsum
 from .calculus import SampledSeries
 from .paths import MarketPath, TimeGrid, _freeze, _Owned
-from .strategies import HoldingsSchedule
+from .strategies import HoldingsSchedule, complete_bond
 
 LEDGER_CSV_COLUMNS = (
     "index", "t", "S", "beta", "a", "b", "Y", "G", "D",
@@ -83,38 +83,6 @@ def defect_series(a, b, stock, bond, out=None) -> tuple[np.ndarray, np.ndarray, 
     np.subtract(value, value[..., :1], out=defect)
     defect -= gain
     return value, gain, defect
-
-
-def complete_bond(a, stock, bond, y0: float, out=None) -> np.ndarray:
-    """The unique self-financing bond holdings for stock holdings `a`, in a
-    new array or in `out` (see accum._out).
-
-    b_0 = (y0 - a_0 * S_0) / beta_0, and every rebalance transfers value
-    between the accounts at the new prices:
-    b_{k+1} = b_k + (a_k - a_{k+1}) * S_{k+1} / beta_{k+1}.
-
-    Where a, stock and the result are C-contiguous blocks of paths of one
-    shape (a study block), the difference and the product by S run as one
-    pass each over the flat rows instead of one per path; otherwise they run
-    over the arrays themselves, so a 1-D path skips the ravels.
-    """
-    b = _out(out, np.broadcast(a, stock).shape, a, stock, bond)
-    b0 = (float(y0) - a[..., 0] * stock[..., 0]) / bond[0]  # b overlaps neither a nor stock
-    # The transfers are built in b's entries 1.. and accumulated in place.
-    transfers = tail = b[..., 1:]
-    ra, rs = a, stock
-    if b.ndim > 1 and a.shape == stock.shape == b.shape and all(x.flags.c_contiguous for x in (a, stock, b)):
-        # Flat entry p gets a_{p-1} - a_p, so each row's entry 0 gets the
-        # difference across the row boundary; comp_cumsum's out_0 and b0
-        # overwrite it.
-        ra, rs, tail = a.ravel(), stock.ravel(), b.ravel()[1:]
-    np.subtract(ra[..., :-1], ra[..., 1:], out=tail)
-    tail *= rs[..., 1:]
-    transfers /= bond[1:]
-    comp_cumsum(transfers, out=b)
-    b += b0[..., None]  # bitwise b0 + sum: IEEE + commutes
-    b[..., 0] = b0  # 0.0 + b0 would turn a -0.0 start into +0.0
-    return b
 
 
 def _step_terms(h: HoldingsSchedule, m: MarketPath, out: np.ndarray) -> np.ndarray:

@@ -7,7 +7,11 @@ strategy decides entry k from path values at indices <= k only (no use of
 the future). Holdings at the final grid point govern no interval; they are
 set equal to the penultimate entry so all series share the grid length.
 
-`delta_hedge_holdings` builds every delta hedge, of one path or a block.
+`complete_bond` turns the self-financing rule into holdings: it completes
+any stock holdings with the unique bond account whose every rebalance is
+funded by the other account. `delta_hedge_holdings` builds every delta
+hedge, of one path or a block, from the delta and `complete_bond`, and
+ledger's `enforce_self_financing` completes a given stock schedule with it.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .accum import _out
+from .accum import _out, comp_cumsum
 from .paths import MarketPath, TimeGrid, _extremes, _freeze, _integer, _Owned
 
 _SQRT2 = math.sqrt(2.0)
@@ -54,11 +58,12 @@ def buy_and_hold(grid: TimeGrid, a0: float, b0: float) -> HoldingsSchedule:
     return HoldingsSchedule(grid, _Owned(np.full(n, float(a0))), _Owned(np.full(n, float(b0))))
 
 
-# Kernels: stock is one path (n_points,) or a batch (..., n_points); bond
-# and times are shared. Every path of a batch gets the same IEEE operations
-# as a 1-D call. delta_stock_holdings calls bs_delta over whole rows, and
-# constant_mix_holdings runs each step over one column of every path,
-# through two reused step buffers.
+# Kernels: stock and holdings are one path (n_points,) or a batch
+# (..., n_points); bond and times are shared. Every path of a batch gets the
+# same IEEE operations as a 1-D call. delta_stock_holdings calls bs_delta
+# over whole rows, complete_bond runs over the flat rows of a contiguous
+# block, and constant_mix_holdings runs each step over one column of every
+# path, through two reused step buffers.
 
 
 def constant_mix_holdings(stock, bond, w: float, wealth0: float, out=None) -> tuple[np.ndarray, np.ndarray]:
@@ -235,6 +240,38 @@ def delta_stock_holdings(option: EuropeanCall, stock, times, rate: float, vol: f
     return a, y0
 
 
+def complete_bond(a, stock, bond, y0: float, out=None) -> np.ndarray:
+    """The unique self-financing bond holdings for stock holdings `a`, in a
+    new array or in `out` (see accum._out).
+
+    b_0 = (y0 - a_0 * S_0) / beta_0, and every rebalance transfers value
+    between the accounts at the new prices:
+    b_{k+1} = b_k + (a_k - a_{k+1}) * S_{k+1} / beta_{k+1}.
+
+    Where a, stock and the result are C-contiguous blocks of paths of one
+    shape (a study block), the difference and the product by S run as one
+    pass each over the flat rows instead of one per path; otherwise they run
+    over the arrays themselves, so a 1-D path skips the ravels.
+    """
+    b = _out(out, np.broadcast(a, stock).shape, a, stock, bond)
+    b0 = (float(y0) - a[..., 0] * stock[..., 0]) / bond[0]  # b overlaps neither a nor stock
+    # The transfers are built in b's entries 1.. and accumulated in place.
+    transfers = tail = b[..., 1:]
+    ra, rs = a, stock
+    if b.ndim > 1 and a.shape == stock.shape == b.shape and all(x.flags.c_contiguous for x in (a, stock, b)):
+        # Flat entry p gets a_{p-1} - a_p, so each row's entry 0 gets the
+        # difference across the row boundary; comp_cumsum's out_0 and b0
+        # overwrite it.
+        ra, rs, tail = a.ravel(), stock.ravel(), b.ravel()[1:]
+    np.subtract(ra[..., :-1], ra[..., 1:], out=tail)
+    tail *= rs[..., 1:]
+    transfers /= bond[1:]
+    comp_cumsum(transfers, out=b)
+    b += b0[..., None]  # bitwise b0 + sum: IEEE + commutes
+    b[..., 0] = b0  # 0.0 + b0 would turn a -0.0 start into +0.0
+    return b
+
+
 def delta_hedge_holdings(option: EuropeanCall, path: MarketPath, vol: float, out=None):
     """Delta-hedge holdings (a, b) of the call at volatility `vol` along the
     path, or every path of a batch market, in two new arrays or in the pair
@@ -242,8 +279,6 @@ def delta_hedge_holdings(option: EuropeanCall, path: MarketPath, vol: float, out
     `delta_stock_holdings`) and the bond account completed so the schedule
     is self-financing and starts at the Black-Scholes price.
     """
-    from .ledger import complete_bond  # deferred: ledger imports this module
-
     a_out, b_out = (None, None) if out is None else out
     a, y0 = delta_stock_holdings(option, path.stock, path.grid.times, path.rate, vol, out=a_out)
     return a, complete_bond(a, path.stock, path.bond, y0, out=b_out)

@@ -278,9 +278,7 @@ def test_run_unknown_command_rejected(tmp_path):
 def test_run_failed_verdict_exits_one(tmp_path, monkeypatch, capsys):
     from hedgelab.experiments import ExperimentResult, ResultRow
 
-    failing = ExperimentResult(
-        "martingale", (ResultRow("stub", 0.0, 0.0, "fail"),), "fail"
-    )
+    failing = ExperimentResult("martingale", (ResultRow("stub", 0.0, 0.0, "fail"),))
     monkeypatch.setattr("hedgelab.cli.martingale_test", lambda cfg, strategies: failing)
     status = run("martingale", parse_config(SMALL), tmp_path)
     assert status == 1

@@ -98,7 +98,7 @@ def test_batch_kernels_match_single_path_ledger():
     _, _, defect = defect_series(a, b, mkt.stock, mkt.bond)
     # shared (n,) holdings against (P, n) stock, as buy_and_hold_spec and
     # cash_injection_spec build them
-    a_shared, b_shared = cash_injection_spec(5.0, a0=0.5, b0=20.0).build(mkt)
+    a_shared, b_shared = cash_injection_spec(5.0).build(mkt)
     _, _, shared_defect = defect_series(a_shared, b_shared, mkt.stock, mkt.bond)
     ramp = np.linspace(0.5, 1.5, grid.n_points)
     ramp_b = complete_bond(ramp, mkt.stock, mkt.bond, 100.0)
@@ -114,7 +114,7 @@ def test_batch_kernels_match_single_path_ledger():
         assert np.array_equal(shared.defect, shared_defect[i])
         # the same control through the single-path API, at the spec's default index
         broken = broken_strategy(
-            buy_and_hold(grid, 0.5, 20.0), "cash_injection", amount=5.0, at_index=grid.n_points // 2, path=mp
+            buy_and_hold(grid, 1.0, 0.0), "cash_injection", amount=5.0, at_index=grid.n_points // 2, path=mp
         )
         assert np.array_equal(broken.a, a_shared)
         assert np.array_equal(broken.b, b_shared)
@@ -205,14 +205,14 @@ def test_martingale_deterministic_market_degenerate_band():
 def test_martingale_cash_injection_control_shifts_by_discounted_amount():
     cfg = small_cfg(n_paths=10_000, base_steps=16)
     amount, index = 10.0, 8
-    res = martingale_test(cfg, [cash_injection_spec(amount, index)])
+    res = martingale_test(cfg, [cash_injection_spec(amount)])
     row = res.rows[0]
     t_inj = index / 16.0
     expected_shift = amount * math.exp(-cfg.params.r * t_inj)
     assert row.status == "expected-fail"
     assert row.statistic - 100.0 == pytest.approx(expected_shift, abs=4.0 * row.stderr)
     # a control that sneaks inside the band is a real failure
-    tiny = martingale_test(cfg, [cash_injection_spec(0.0, index)])
+    tiny = martingale_test(cfg, [cash_injection_spec(0.0)])
     assert tiny.rows[0].status == "fail"
     assert tiny.verdict == "fail"
 

@@ -1,4 +1,5 @@
 import ast
+import graphlib
 import importlib
 import re
 from pathlib import Path
@@ -97,3 +98,25 @@ def test_every_module_level_definition_is_used(module):
             if node.name not in used | _references(tree, skip=own):
                 unused.append(node.name)
     assert unused == []
+
+
+def _relative_imports(module: Path, modules: set[str]) -> set[str]:
+    """The package modules `module` imports relatively, at module level or
+    inside a function; `from . import name` of a non-module is __init__."""
+    found = set()
+    for node in ast.walk(ast.parse(module.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:
+                found.update(a.name if a.name in modules else "__init__" for a in node.names)
+    return found
+
+
+def test_package_imports_form_no_cycle():
+    modules = {path.stem for path in SRC.glob("*.py")}
+    graph = {path.stem: _relative_imports(path, modules) for path in SRC.glob("*.py")}
+    try:
+        graphlib.TopologicalSorter(graph).prepare()
+    except graphlib.CycleError as exc:
+        pytest.fail(f"import cycle: {' -> '.join(reversed(exc.args[1]))}")
