@@ -181,14 +181,12 @@ def comp_cumsum(terms, out=None) -> np.ndarray:
         for lo in range(0, m, b):
             hi = min(lo + b, m)
             x, c = rows[lo:hi], flat[lo:hi]
-            if lo == 0 or hi - lo < b:  # views of the first block and of a short last one
-                q = -(-(hi - lo) // 2)  # buffer rows
-                k = (hi - lo) // 2  # lines in the imaginary parts
-                ws = work if lo == 0 else work[:, :q]
-                s, t, xs = ws[0], ws[1].ravel()[1:], ws[2]
-                sf, xf = s.ravel(), xs.ravel()
-                prev, cur, e = sf[:-1], sf[1:], xf[1:]
-                xs[:, 0] = 0.0
+            q = -(-(hi - lo) // 2)  # buffer rows
+            k = (hi - lo) // 2  # lines in the imaginary parts
+            s, t, xs = work[0, :q], work[1, :q].ravel()[1:], work[2, :q]
+            sf, xf = s.ravel(), xs.ravel()
+            prev, cur, e = sf[:-1], sf[1:], xf[1:]
+            xs[:, 0] = 0.0
             # x may be the result's own rows (in place); it is copied before the
             # block's result rows are written.
             xs.real[:, 1:] = x[0::2]
@@ -205,8 +203,7 @@ def comp_cumsum(terms, out=None) -> np.ndarray:
             np.subtract(cur, t, out=t)  # s - bb
             np.subtract(prev, t, out=t)  # s_prev - (s - bb)
             e += t
-            if q > 1:
-                xf[:: n + 1] = 0.0
+            xf[:: n + 1] = 0.0
             np.add.accumulate(xs, axis=1, out=xs)
             np.add(s.real, xs.real, out=c[0::2])
             np.add(s.imag[:k], xs.imag[:k], out=c[1::2])

@@ -200,7 +200,7 @@ def _write_paths_csv(cfg: ExperimentConfig, path0: MarketPath, dest: Path) -> No
             stock = gbm_path(cfg.params, w, "physical").stock
             dw = np.zeros_like(stock)
             dw[:, 1:] = w.increments
-            index = _cells([str(i) for i in block], right=True)
+            index = _cells([str(i) for i in block])
             stock, dw = stock.ravel(), dw.ravel()
             for r0 in range(0, stock.size, _ROW_CHUNK):
                 rows = slice(r0, min(r0 + _ROW_CHUNK, stock.size))
@@ -297,7 +297,3 @@ def main(argv=None) -> int:
     except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -35,7 +35,6 @@ set out in _per_path's docstring and at accum.BLOCK_ELEMENTS.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 import threading
@@ -47,7 +46,7 @@ from typing import Callable
 import numpy as np
 
 from . import accum
-from .ledger import defect_series
+from .ledger import _write_csv, defect_series
 from .paths import (
     GbmParams,
     MarketPath,
@@ -557,17 +556,6 @@ def _loglog_slope(xs, ys) -> float:
 
 
 def write_result_csv(result: ExperimentResult, dest) -> None:
-    """CSV export: one row per result row, 17 significant digits."""
-    with open(dest, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["name", "param", "statistic", "stderr", "verdict"])
-        for row in result.rows:
-            writer.writerow(
-                [
-                    result.name,
-                    row.param,
-                    format(row.statistic, ".17g"),
-                    format(row.stderr, ".17g"),
-                    row.status,
-                ]
-            )
+    """CSV export: one row per result row, 17 significant digits (see ledger._write_csv)."""
+    rows = ((result.name, row.param, row.statistic, row.stderr, row.status) for row in result.rows)
+    _write_csv(dest, ("name", "param", "statistic", "stderr", "verdict"), rows)

@@ -201,13 +201,11 @@ def _g17(x: np.ndarray) -> np.ndarray:
     return cells
 
 
-def _cells(texts: list[str], right: bool = False) -> np.ndarray:
+def _cells(texts: list[str]) -> np.ndarray:
     """The texts as rows of bytes as wide as the longest, padded with NULs on
-    the right, or with right=True on the left."""
+    the right (which _rows_text drops)."""
     raw = [text.encode() for text in texts]
     width = max(map(len, raw))
-    if right:
-        raw = [b.rjust(width, b"\0") for b in raw]
     return np.array(raw, dtype=f"S{width}").view(np.uint8).reshape(len(raw), width)
 
 

@@ -146,10 +146,15 @@ def write_ledger_csv(h: HoldingsSchedule, m: MarketPath, dest) -> Path:
     steps = np.zeros((4, h.grid.n_points))
     _step_terms(h, m, steps[:, 1:])
     columns = (m.grid.times, m.stock, m.bond, h.a, h.b, report.value, report.gain, report.defect, *steps)
-    dest = Path(dest)
+    _write_csv(dest, LEDGER_CSV_COLUMNS, zip(range(h.grid.n_points), *columns))
+    return Path(dest)
+
+
+def _write_csv(dest, header, rows) -> None:
+    """The one CSV form of every CSV but paths.csv: the header, then one
+    line per row, "\n"-ended, with each float cell (numpy's float64
+    included) as format(x, ".17g")."""
     with open(dest, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(LEDGER_CSV_COLUMNS)
-        for k, row in enumerate(zip(*columns)):
-            writer.writerow([k] + [format(float(x), ".17g") for x in row])
-    return dest
+        writer.writerow(header)
+        writer.writerows([format(x, ".17g") if isinstance(x, float) else x for x in row] for row in rows)

@@ -153,10 +153,6 @@ class TimeGrid:
     def n_points(self) -> int:
         return int(self.times.size)
 
-    @property
-    def horizon(self) -> float:
-        return float(self.times[-1])
-
     @cached_property
     def dt(self) -> np.ndarray:
         """Step lengths, one per interval (read-only, the same array on every read)."""
@@ -358,12 +354,10 @@ def _keyed_normals(key: tuple, shape: tuple, out=None) -> np.ndarray:
     an int: the result then stacks one row per index along a new leading
     axis. One path i is the range(i, i + 1), so every draw is one walk over
     the chunks its indices touch, each drawn once, up to the last row it
-    needs: straight into the rows of `out` when the run starts on the
-    chunk's first row and those rows are C-contiguous, else into a scratch
-    whose rows from the run's first one are copied out. The draw builds one
-    Philox generator before the walk and sets it to every chunk's counter
-    (see _chunk_normals). A stepped or descending range raises ValueError
-    before anything is drawn.
+    needs, into a scratch whose rows from the run's first one are copied
+    out. The draw builds one Philox generator before the walk and sets it
+    to every chunk's counter (see _chunk_normals). A stepped or descending
+    range raises ValueError before anything is drawn.
     """
     seed, index, *lineage = key
     paths = _path_indices(index)
@@ -378,11 +372,8 @@ def _keyed_normals(key: tuple, shape: tuple, out=None) -> np.ndarray:
     for j in range(paths.start // per_chunk, -(-paths.stop // per_chunk) if paths else 0):
         first = j * per_chunk
         lo, hi = max(paths.start, first), min(paths.stop, first + per_chunk)
-        dest = rows[lo - paths.start : hi - paths.start]
-        if lo == first and dest.flags.c_contiguous:
-            _chunk_normals(generator, philox_key.words, j, tag, dest)
-        else:
-            dest[...] = _chunk_normals(generator, philox_key.words, j, tag, np.empty((hi - first, n)))[lo - first :]
+        scratch = _chunk_normals(generator, philox_key.words, j, tag, np.empty((hi - first, n)))
+        rows[lo - paths.start : hi - paths.start] = scratch[lo - first :]
     return out
 
 

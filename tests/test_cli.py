@@ -104,6 +104,15 @@ def test_main_config_error_names_the_key(tmp_path, capsys, flags, config, key):
     assert not out.exists()
 
 
+def test_main_config_line_without_an_equals_sign_exits_two(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("s0 100\n")
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(cfg_file), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: line 1: expected 'key = value', got 's0 100'\n"
+    assert not out.exists()
+
+
 _ROUND_TRIP_DOC = "sigma = 0.31\nn_paths = 123\nrefinement_factors = 1,3,9\nstrike = 95\n"
 
 
@@ -597,8 +606,9 @@ _V1 = "cpu,cpuacct/job/cpu.cfs_"
         ("0::/job\n", {"job/cpu.max": "garbage\n"}, None),
         ("0::/job\n", {}, None),  # missing
         ("0::/job\n", {"job/cpu.max/unreadable": ""}, None),  # a folder, not a file
+        ("0:/job\n0::/job\n", {"job/cpu.max": "150000 100000\n"}, 2),  # a line of two fields is skipped
     ],
-    ids=["v2", "v1", "v2-half-a-cpu", "v2-max", "v1-minus-one", "garbage", "missing", "unreadable"],
+    ids=["v2", "v1", "v2-half-a-cpu", "v2-max", "v1-minus-one", "garbage", "missing", "unreadable", "two-fields"],
 )
 def test_usable_cpus_are_capped_at_the_cgroup_cpu_quota(tmp_path, cgroup, files, quota):
     # Fake proc and cgroup files under a root folder: ceil(quota / period)
@@ -633,3 +643,34 @@ def test_main_failure_in_a_lane_exits_two_with_one_line(tmp_path, monkeypatch, c
     assert main(["hedge", "--config", str(cfg_file), "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: block 3\n"
     assert list(out.iterdir()) == []
+
+
+def _found(item: str):
+    """The strict-xfail mark of a config that ROADMAP's open `item` makes exit 1."""
+    return pytest.mark.xfail(strict=True, raises=AssertionError, reason=f"ROADMAP item {item}")
+
+
+_PRICES_1E7 = "s0 = 1e7\nstrike = 1e7\nseed = 3\nn_paths = 200\nbase_steps = 16\n"
+_ITEM_1 = "1: absolute 1e-9 floors on quantities that scale with prices"
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        pytest.param("verify", _PRICES_1E7, marks=_found(_ITEM_1)),
+        pytest.param("martingale", _PRICES_1E7 + "sigma = 0\n", marks=_found(_ITEM_1)),
+        pytest.param("hedge", _PRICES_1E7 + "sigma = 0\n", marks=_found(_ITEM_1)),
+        pytest.param("martingale", "n_paths = 8\nbase_steps = 4\n", marks=_found("3: the martingale gate has no stated size")),
+        pytest.param(
+            "hedge", "sigma = 0\nr = 0\nn_paths = 50\nbase_steps = 8\n",
+            marks=_found("7: an exact sigma = r = 0 hedge fails its slope row"),
+        ),
+    ],
+    ids=["item1-verify", "item1-martingale-sigma0", "item1-hedge-sigma0", "item3-martingale-8-paths", "item7-hedge-sigma-r-0"],
+)
+def test_open_found_configs_pass(tmp_path, command, config):
+    # Configs on which a correct program fails its own gates. Each pin
+    # turns red (XPASS, strict) in the change that mends its ROADMAP item.
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(config)
+    assert main([command, "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 0

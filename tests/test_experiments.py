@@ -15,6 +15,7 @@ from hedgelab import accum, experiments
 from hedgelab.experiments import (
     DEFAULT_TOLERANCES,
     ExperimentConfig,
+    ResultRow,
     StrategySpec,
     _market,
     buy_and_hold_spec,
@@ -159,6 +160,28 @@ def test_defect_refinement_study_passes_and_reports_levels():
     assert all(r.statistic > 10 * DEFAULT_TOLERANCES["defect"] for r in frozen)
     assert all(r.status == "expected-fail" for r in frozen)
     assert [r.param.split()[0] for r in enforced] == ["N=16", "N=32", "N=64"]
+
+
+def test_defect_refinement_study_fails_a_control_under_its_bar_on_paths_that_rebalance(monkeypatch):
+    # Every path rebalances, but the frozen-bond control's defect stays
+    # under control_factor x defect: the control caught nothing, so its row fails.
+    tol = DEFAULT_TOLERANCES["defect"]
+
+    def weak_control(cfg, mkt, work, out):
+        out[0] = 0.0
+        out[1] = 0.5 * DEFAULT_TOLERANCES["control_factor"] * tol
+        return True, None
+
+    monkeypatch.setattr(experiments, "_block_defects", weak_control)
+    res = defect_refinement_study(small_cfg(n_paths=8))
+    assert [r.status for r in res.rows] == ["pass", "fail"] * 3
+    assert res.verdict == "fail"
+
+
+@pytest.mark.parametrize("statistic, stderr", [(math.inf, 0.0), (math.nan, 0.0), (1.0, math.inf), (1.0, math.nan)])
+def test_result_row_refuses_a_statistic_or_stderr_past_float64_range(statistic, stderr):
+    with pytest.raises(ValueError, match="^result row 'N=4' is not finite"):
+        ResultRow("N=4", statistic, stderr, "pass")
 
 
 def test_defect_refinement_study_sigma_zero_is_degenerate_pass():

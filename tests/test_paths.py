@@ -81,6 +81,12 @@ def test_stock_at_zero_and_at_the_smallest_subnormal(value, positive, batch):
             MarketPath(grid, stock, bond)
 
 
+def test_market_path_refuses_a_bond_not_normalized_to_one():
+    grid = uniform_grid(1.0, 4)
+    with pytest.raises(ValueError, match="^bond must be normalized to 1 at t=0$"):
+        MarketPath(grid, np.full(5, 100.0), np.linspace(1.5, 2.0, 5))
+
+
 def test_brownian_determinism_and_independence():
     grid = uniform_grid(1.0, 32)
     w1 = generate_brownian(grid, seed=1, path_index=0)
@@ -388,16 +394,16 @@ def test_single_path_draws_at_most_its_chunk_up_to_its_row(monkeypatch, steps, f
     assert [o.size for o in outs] == [drawn] and drawn <= max(paths.CHUNK_NORMALS, n)
 
 
-def test_chunk_aligned_block_is_drawn_into_contiguous_out_and_a_mid_chunk_start_uses_one_scratch(monkeypatch):
+def test_every_chunk_is_drawn_into_its_own_scratch(monkeypatch):
     grid = uniform_grid(1.0, 8)  # 128 paths a chunk
     outs = _recording_chunks(monkeypatch)
     w = generate_brownian(grid, 5, range(256, 556), out=np.empty((300, 8)))
     assert [o.size for o in outs] == [128 * 8, 128 * 8, 44 * 8]
-    assert all(np.shares_memory(o, w.increments) for o in outs)
+    assert not any(np.shares_memory(o, w.increments) for o in outs)
     outs.clear()
     w = generate_brownian(grid, 5, range(100, 200), out=np.empty((100, 8)))
-    scratch = [o for o in outs if not np.shares_memory(o, w.increments)]
-    assert len(outs) == 2 and [o.size for o in scratch] == [128 * 8]
+    assert [o.size for o in outs] == [128 * 8, 72 * 8]
+    assert not any(np.shares_memory(o, w.increments) for o in outs)
 
 
 @pytest.mark.parametrize(

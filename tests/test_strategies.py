@@ -202,6 +202,13 @@ def test_bs_delta_on_the_sigma_zero_kink_is_the_vol_limit():
         bs_delta(100.0, 100.0, math.inf, 0.0, 1.0)  # inf/inf, not the kink
 
 
+def test_bs_delta_refuses_a_d1_of_inf_minus_inf():
+    # s / strike underflows to 0, so log gives -inf, while vol * vol
+    # overflows to +inf: d1 is NaN off the kink, since vol * sqrt(tau) > 0.
+    with pytest.raises(ValueError, match="^delta undefined: d1 is inf - inf$"):
+        bs_delta(1e-300, 1e300, 1e200, 0.0, 1.0)
+
+
 def test_bs_delta_whose_moneyness_overflows_is_its_limit_without_a_warning():
     # s / strike overflows to inf for a subnormal strike, so d1 = +inf.
     with warnings.catch_warnings():
